@@ -17,11 +17,11 @@ from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, add_whiskers, delete_vertices, format_graph,
                      minimal_vertex_covers, is_unmixed, parse_graph,
                      vertex_covers_of_size)
-from .monomials import (MonomialIdeal, alexander_dual_of_edge_ideal, edge_ideal,
+from .monomials import (alexander_dual_of_edge_ideal, edge_ideal,
                         squarefree_degree_component)
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import FieldSpec, betti_at, betti_numbers, is_componentwise_linear
-from .decide import is_cm, is_sequentially_cm
+from .decide import DEFAULT_SEARCH_BUDGET, is_cm, is_sequentially_cm
 from .harness import Campaign, run_campaign, run_fixture, CLAIM_STATEMENTS, FIXTURE_IDS
 
 FIELD_ENV = "EDGEIDEALS_FIELD"
@@ -195,18 +195,16 @@ def _cmd_whisker(args) -> int:
 # verify
 
 
-def _dual_component(G, degree) -> MonomialIdeal:
-    return squarefree_degree_component(alexander_dual_of_edge_ideal(G), degree)
-
-
-def _verify_certificate(G, data):
+def _verify_certificate(G, data, dual):
+    """Re-check one certificate against ``dual``, the Alexander dual of G's
+    edge ideal, which callers build once per payload."""
     if list(data.get("vars", [])) != list(G.labels):
         return False, "certificate variables do not match the graph's labels"
     q = QuotientOrder.from_json(data)
     if q.ideal.is_zero or not q.ideal.is_equigenerated:
-        target = alexander_dual_of_edge_ideal(G)
+        target = dual
     else:
-        target = _dual_component(G, q.ideal.min_degree)
+        target = squarefree_degree_component(dual, q.ideal.min_degree)
     if q.ideal != target:
         return False, "certificate generators do not match the graph's dual component"
     ok = verify_order(q)
@@ -227,11 +225,14 @@ def _verify_dlq_report(G, data):
     for d_str, cert in sorted(per.items(), key=lambda kv: int(kv[0])):
         d = int(d_str)
         if cert is None:
-            if find_order(_dual_component(G, d)) is not None:
+            # a hostile payload must not buy an unbounded search: an overrun
+            # raises SearchBudgetExceeded, which exits 2
+            comp = squarefree_degree_component(dual, d)
+            if find_order(comp, budget=DEFAULT_SEARCH_BUDGET) is not None:
                 return False, f"degree {d} claimed impossible but an order exists"
             exact_false = True
         else:
-            ok, why = _verify_certificate(G, cert)
+            ok, why = _verify_certificate(G, cert, dual)
             if not ok:
                 return False, f"degree {d}: {why}"
     verdict = data.get("verdict")
@@ -268,7 +269,7 @@ def _verify_verdict(G, data):
         if have != need:
             return False, f"certificates cover degrees {sorted(have)}, need {sorted(need)}"
         for d_str, cert in per.items():
-            ok, why = _verify_certificate(G, cert)
+            ok, why = _verify_certificate(G, cert, dual)
             if not ok:
                 return False, f"degree {d_str}: {why}"
         scm_value = True
@@ -283,7 +284,8 @@ def _verify_verdict(G, data):
         if len(b) == d + i:
             return False, "witness multidegree lies on the linear strand"
         from .monomials import Monomial
-        rank = betti_at(_dual_component(G, d), Monomial(b), i, field)
+        comp = squarefree_degree_component(alexander_dual_of_edge_ideal(G), d)
+        rank = betti_at(comp, Monomial(b), i, field)
         if rank == 0:
             return False, "witness Betti number vanishes on re-computation"
         scm_value = False
@@ -321,7 +323,7 @@ def _cmd_verify(args) -> int:
     elif data.get("kind") == "dlq-report":
         ok, why = _verify_dlq_report(G, data)
     elif "ordered_gens" in data:
-        ok, why = _verify_certificate(G, data)
+        ok, why = _verify_certificate(G, data, alexander_dual_of_edge_ideal(G))
     else:
         raise InputError("unrecognized payload: expected a verdict, dlq-report, or certificate")
     _emit(args, {"verified": ok, "reason": why},

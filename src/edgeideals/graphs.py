@@ -363,24 +363,6 @@ def _minimal_cover_masks(adj, active: int) -> list:
     return covers
 
 
-def _brute_covers_of_size(G: Graph, d: int) -> list:
-    """Oracle: raw scan over all d-subsets (used by tests, n <= 20)."""
-    out = []
-    for combo in combinations(range(G.n), d):
-        mask = _mask_of(combo)
-        if _is_cover(G.adj, (1 << G.n) - 1, mask):
-            out.append(mask)
-    return out
-
-
-def _is_cover(adj, active: int, mask: int) -> bool:
-    outside = active & ~mask
-    for v in _bits(outside):
-        if adj[v] & outside:
-            return False
-    return True
-
-
 def vertex_covers_of_size(G: Graph, d: int) -> list:
     """All size-d vertex covers as frozensets, lexicographically ordered."""
     if d < 0 or d > G.n:

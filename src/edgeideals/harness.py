@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
-from .errors import InputError
+from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
                      cycle_graph, delete_vertices, format_graph, induced_subgraph,
                      is_chordal, path_graph, _bits)
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 ATTEMPT_CAP = 1000
+_SEED_STRIDE = 1_000_003
 EDGE_PROBABILITIES = (0.2, 0.4, 0.6)
 
 CLAIM_STATEMENTS = {
@@ -75,6 +76,10 @@ class Campaign:
                              f"known: {', '.join(sorted(CLAIM_STATEMENTS))}")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.trials >= _SEED_STRIDE:
+            # _trial_rng seeds (seed, index) as seed * stride + index, which
+            # collides across seeds once index reaches the stride
+            raise InputError(f"trials must be < {_SEED_STRIDE}")
 
 
 @dataclass
@@ -308,7 +313,7 @@ _CLAIMS = {
 
 
 def _trial_rng(campaign: Campaign, index: int) -> random.Random:
-    return random.Random(campaign.seed * 1_000_003 + index)
+    return random.Random(campaign.seed * _SEED_STRIDE + index)
 
 
 def _shrink(hypothesis, conclusion, G, S, fields):
@@ -324,7 +329,7 @@ def _shrink(hypothesis, conclusion, G, S, fields):
                     G, S = H, S2
                     improved = True
                     break
-            except Exception:
+            except (InputError, SearchBudgetExceeded):
                 continue
     return G, S
 

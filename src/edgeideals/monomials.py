@@ -120,17 +120,35 @@ class MonomialIdeal:
         self.gens = gens
 
     @classmethod
+    def _from_canonical(cls, ambient: int, gens) -> "MonomialIdeal":
+        """Wrap generators already known to be in ambient, canonically
+        ordered, distinct and minimal, skipping the checks of __init__."""
+        ideal = object.__new__(cls)
+        ideal.ambient = ambient
+        ideal.gens = tuple(gens)
+        return ideal
+
+    @classmethod
     def from_generators(cls, ambient: int, gens) -> "MonomialIdeal":
         """Minimalize and sort an arbitrary generating set."""
         masks = sorted({Monomial(g).mask if not isinstance(g, Monomial) else g.mask for g in gens},
                        key=lambda m: bin(m).count("1"))
+        if any(m >> ambient for m in masks):
+            raise InputError("generator outside ambient variables")
+        # distinct monomials of equal degree never divide each other, so each
+        # mask is compared only with kept masks of strictly lower degree
         kept = []
+        lower = 0
+        degree = -1
         for m in masks:
-            if not any(k & ~m == 0 for k in kept):
+            d = bin(m).count("1")
+            if d != degree:
+                degree, lower = d, len(kept)
+            if not any(k & ~m == 0 for k in kept[:lower]):
                 kept.append(m)
         out = [Monomial.from_mask(m) for m in kept]
         out.sort(key=lambda g: g.sort_key)
-        return cls(ambient, out)
+        return cls._from_canonical(ambient, out)
 
     @classmethod
     def zero(cls, ambient: int) -> "MonomialIdeal":
@@ -244,7 +262,7 @@ def squarefree_degree_component(I: MonomialIdeal, d: int) -> MonomialIdeal:
         for extra in combinations(others, k):
             masks.add(g.mask | _mask_of(extra))
     gens = sorted((Monomial.from_mask(m) for m in masks), key=lambda g: g.sort_key)
-    return MonomialIdeal(I.ambient, gens)
+    return MonomialIdeal._from_canonical(I.ambient, gens)
 
 
 def colon_by_monomial(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:

@@ -2,9 +2,10 @@
 
 A certificate is an ordering of the generators together with, for each
 position, the set of variables generating the colon ideal of the prefix.
-Certificates are checkable in O(r^2) bit operations, so every order found
-here -- whether by exact search or by the constructive whisker recursion --
-is verified before it is trusted.
+Certificates are checkable in O(r*n) big-int operations (one pass over the
+sequence with a bitset of generator positions per variable), so every
+order found here -- whether by exact search or by the constructive whisker
+recursion -- is verified before it is trusted.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import Graph, induced_subgraph, _bits, _covers_by_size
+from .graphs import Graph, induced_subgraph, _bits, _covers_by_size, _mask_of
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
@@ -56,6 +57,8 @@ def _step_linear(prefix_masks, u: int):
     Returns (ok, v1) where v1 is the union of the single-variable colon
     generators.  The colon generators are the supports p \\ u; the ideal they
     generate is variable-generated exactly when every difference meets v1.
+    Only the order search uses this per-step scan: its prefixes change by
+    one generator at a time, and most of them are short.
     """
     nu = ~u
     v1 = 0
@@ -71,23 +74,72 @@ def _step_linear(prefix_masks, u: int):
     return True, v1
 
 
-def _sequence_colon_vars(masks):
-    """Per-position v1 masks for a generator sequence, plus overall linearity."""
-    vars_out = [0] * len(masks)
-    ok = True
-    for i in range(1, len(masks)):
-        step_ok, v1 = _step_linear(masks[:i], masks[i])
-        vars_out[i] = v1
-        ok = ok and step_ok
-    return vars_out, ok
+def _colon_walk(masks, stop_at_failure=False):
+    """Colon variables of every step of a generator sequence, in one pass.
+
+    ``col[v]`` is the bitset of earlier positions whose generator contains
+    x_v.  At step i with new generator u, the prefix generators p with
+    |p \\ u| = 1 are those met by exactly one column of a variable outside
+    u; v1 is the set of outside variables whose column meets one of them.
+    Since v1 avoids u, p \\ u meets v1 exactly when p does, so the step is
+    linear iff the columns of v1 cover the whole prefix.  Each step costs
+    O(n) big-int operations, for any mix of degrees.
+
+    Returns (colon, failed): the v1 mask of every position (0 at position
+    0) and the bitset of positions whose step is not linear.  With
+    ``stop_at_failure`` the walk ends at the first such step.
+    """
+    r = len(masks)
+    colon = [0] * r
+    top = 0
+    for m in masks:
+        top |= m
+    vbit = [1 << v for v in range(top.bit_length())]
+    col = [0] * len(vbit)
+    failed = 0
+    for i, u in enumerate(masks):
+        once = twice = 0
+        inside = []
+        outside = []
+        for v, b in enumerate(vbit):
+            if u & b:
+                inside.append(v)
+            else:
+                c = col[v]
+                if c:
+                    outside.append(v)
+                    twice |= once & c
+                    once |= c
+        if i:
+            single = once & ~twice
+            v1 = covered = 0
+            if single:
+                for v in outside:
+                    c = col[v]
+                    if c & single:
+                        v1 |= vbit[v]
+                        covered |= c
+            colon[i] = v1
+            if covered != (1 << i) - 1:
+                failed |= 1 << i
+                if stop_at_failure:
+                    break
+        bit = 1 << i
+        for v in inside:
+            col[v] |= bit
+    return colon, failed
 
 
-def _sequence_linear(masks) -> bool:
-    for i in range(1, len(masks)):
-        ok, _ = _step_linear(masks[:i], masks[i])
-        if not ok:
-            return False
-    return True
+def _bitsets(masks) -> tuple:
+    """frozenset of set bits per mask, sharing one object per distinct mask."""
+    seen = {}
+    out = []
+    for m in masks:
+        s = seen.get(m)
+        if s is None:
+            s = seen[m] = frozenset(_bits(m))
+        out.append(s)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -155,10 +207,8 @@ def make_order(ideal: MonomialIdeal, order) -> QuotientOrder:
     order = tuple(order)
     if sorted(order) != list(range(len(ideal.gens))):
         raise InputError("order is not a permutation of the generators")
-    masks = [ideal.gens[i].mask for i in order]
-    vars_masks, _ = _sequence_colon_vars(masks)
-    colon = tuple(frozenset(_bits(v)) for v in vars_masks)
-    return QuotientOrder(ideal, order, colon)
+    colon, _ = _colon_walk([ideal.gens[i].mask for i in order])
+    return QuotientOrder(ideal, order, _bitsets(colon))
 
 
 def verify_order(q: QuotientOrder) -> bool:
@@ -178,13 +228,10 @@ def verify_order(q: QuotientOrder) -> bool:
     degs = [_popcount(m) for m in masks]
     if any(degs[i] > degs[i + 1] for i in range(r - 1)):
         return False
-    if q.colon_vars[0] != frozenset():
+    colon, failed = _colon_walk(masks, stop_at_failure=True)
+    if failed:
         return False
-    for i in range(1, r):
-        ok, v1 = _step_linear(masks[:i], masks[i])
-        if not ok or frozenset(_bits(v1)) != q.colon_vars[i]:
-            return False
-    return True
+    return all(_mask_of(s) == m for s, m in zip(q.colon_vars, colon))
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +287,27 @@ def _search_masks(masks, spend=None):
             nexts.pop()
 
 
-def _order_from_masks(ambient: int, ordered_masks) -> QuotientOrder:
-    gens = sorted((Monomial.from_mask(m) for m in ordered_masks), key=lambda g: g.sort_key)
-    ideal = MonomialIdeal(ambient, gens)
-    pos = {g.mask: i for i, g in enumerate(ideal.gens)}
-    order = tuple(pos[m] for m in ordered_masks)
-    vars_masks, _ = _sequence_colon_vars(list(ordered_masks))
-    return QuotientOrder(ideal, order, tuple(frozenset(_bits(v)) for v in vars_masks))
+def _order_from_masks(ambient: int, ordered_masks, canonical=None, colon=None) -> QuotientOrder:
+    """QuotientOrder for a sequence of one component's generator masks.
+
+    ``canonical`` lists the same masks in canonical generator order when the
+    caller already has them (as ``_covers_by_size`` returns them); ``colon``
+    holds the sequence's colon-variable masks when a walk already computed
+    them.  Whatever is not given is derived here.
+    """
+    if canonical is None:
+        gens = sorted((Monomial.from_mask(m) for m in ordered_masks), key=lambda g: g.sort_key)
+        ideal = MonomialIdeal(ambient, gens)
+    else:
+        ideal = MonomialIdeal._from_canonical(ambient, [Monomial.from_mask(m) for m in canonical])
+    if ordered_masks == canonical:
+        order = tuple(range(len(canonical)))
+    else:
+        pos = {g.mask: i for i, g in enumerate(ideal.gens)}
+        order = tuple(pos[m] for m in ordered_masks)
+    if colon is None:
+        colon, _ = _colon_walk(list(ordered_masks))
+    return QuotientOrder(ideal, order, _bitsets(colon))
 
 
 def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
@@ -258,9 +319,11 @@ def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
     if len(I.gens) > 1 and not I.is_equigenerated:
         raise InputError("find_order expects an equigenerated ideal")
     masks = I.gen_masks()
-    if len(masks) > 1 and _sequence_linear(masks):
-        search_stats["identity"] += 1
-        return make_order(I, range(len(masks)))
+    if len(masks) > 1:
+        colon, failed = _colon_walk(masks, stop_at_failure=True)
+        if not failed:
+            search_stats["identity"] += 1
+            return QuotientOrder(I, tuple(range(len(masks))), _bitsets(colon))
     spend = _budget_counter(budget) if budget is not None else None
     found = _search_masks(masks, spend)
     if found is None:
@@ -296,6 +359,7 @@ class _OrderSearch:
         self.adj = adj
         self._covers = {}
         self._orders = {}
+        self._colon = {}
         self.spend = _budget_counter(budget) if budget is not None else None
 
     def covers(self, active: int) -> dict:
@@ -318,15 +382,31 @@ class _OrderSearch:
         self._orders[key] = result
         return result
 
+    def quotient_order(self, ambient: int, active: int, d: int):
+        """``order`` packaged as a QuotientOrder, or None."""
+        ordered = self.order(active, d)
+        if ordered is None:
+            return None
+        return _order_from_masks(ambient, ordered, self.gens(active, d),
+                                 self._colon.get((active, d)))
+
+    def _linear(self, key, seq) -> bool:
+        """Walk seq once; keep its colon masks under key when it is linear."""
+        colon, failed = _colon_walk(seq, stop_at_failure=True)
+        if failed:
+            return False
+        self._colon[key] = colon
+        return True
+
     def _order_uncached(self, active: int, d: int):
         gens = self.gens(active, d)
         if len(gens) <= 1:
             return list(gens)
-        if _sequence_linear(gens):
+        if self._linear((active, d), gens):
             search_stats["identity"] += 1
             return list(gens)
         cand = self._structural_candidate(active, d)
-        if cand is not None and _sequence_linear(cand):
+        if cand is not None and self._linear((active, d), cand):
             search_stats["structural"] += 1
             return cand
         return _search_masks(gens, self.spend)
@@ -429,17 +509,13 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
             per_degree[d] = None
             failed = True
         else:
-            per_degree[d] = _order_from_masks(G.n, ordered)
+            per_degree[d] = ctx.quotient_order(G.n, full, d)
     return DLQReport(G, per_degree, tuple(unknown), tuple(skipped))
 
 
 def dual_component_order(G: Graph, d: int, *, budget=None):
     """Verified order for (dual of G)_[d], or None if that component has none."""
-    ctx = _OrderSearch(G.adj, budget)
-    ordered = ctx.order((1 << G.n) - 1, d)
-    if ordered is None:
-        return None
-    return _order_from_masks(G.n, ordered)
+    return _OrderSearch(G.adj, budget).quotient_order(G.n, (1 << G.n) - 1, d)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +600,7 @@ def whisker_order(K: Graph, whisker, d: int, recurse=None) -> QuotientOrder:
             return []
         sub = induced_subgraph(K, keep)
         if recurse is None:
-            ctx = _OrderSearch(sub.adj)
-            ordered = ctx.order((1 << sub.n) - 1, dd)
-            q = _order_from_masks(sub.n, ordered) if ordered is not None else None
+            q = _OrderSearch(sub.adj).quotient_order(sub.n, (1 << sub.n) - 1, dd)
         else:
             q = recurse(sub, dd)
         if q is None:

@@ -7,6 +7,8 @@ paths it is used to check.
 
 from itertools import combinations, permutations
 
+from edgeideals.monomials import Monomial, MonomialIdeal, colon_by_monomial
+
 
 def brute_covers(G, d):
     """All size-d vertex covers by scanning every d-subset."""
@@ -52,6 +54,25 @@ def naive_colon_is_linear(prefix, u):
     diffs = [frozenset(p) - frozenset(u) for p in prefix]
     minimal = [d for d in diffs if not any(o < d for o in diffs)]
     return all(len(d) == 1 for d in minimal)
+
+
+def colon_steps_by_ideal(ambient, sequence):
+    """Per-step (linear, v1) of a generator sequence, from the colon ideals.
+
+    Step i builds (sequence[:i]) : sequence[i] with ``colon_by_monomial``
+    (monomial ideals only, none of the linear-quotients code).  The step is
+    linear iff every minimal generator of the colon has degree one; v1 is
+    the set of variables that are minimal generators.  ``sequence`` is a
+    list of supports (iterables of variable indices).
+    """
+    gens = [Monomial(s) for s in sequence]
+    out = []
+    for i in range(1, len(gens)):
+        colon = colon_by_monomial(MonomialIdeal.from_generators(ambient, gens[:i]), gens[i])
+        linear = all(g.degree == 1 for g in colon.gens)
+        v1 = frozenset(v for g in colon.gens if g.degree == 1 for v in g.support)
+        out.append((linear, v1))
+    return out
 
 
 def permutation_order_exists(supports):

@@ -193,3 +193,53 @@ def test_betti_json_has_multigraded_entries(capsys, c4):
     data = json.loads(out)
     assert code == 0
     assert [1, ["x1", "x2", "x3", "x4"], 1] in data["multigraded"]
+
+
+# G(7, 0.4) drawn from random.Random(12), with every vertex whiskered; the
+# hashes pin the outputs recorded before the one-pass colon kernel
+PINNED_EDGES = [(0, 4), (0, 5), (0, 6), (1, 2), (2, 4), (2, 6), (3, 5), (4, 5), (5, 6)]
+PINNED_SHA256 = {
+    "is-cm": "69e90369a619ee13fc1624066eac0cc2b7f737953e4794dce2ccab3853c15a85",
+    "lin-quotients": "51437bae3210641ec6e74ae7108c4ce733e4e4ba5a438363340232cc52634831",
+}
+
+
+def test_fully_whiskered_evidence_bytes_pinned(capsys, tmp_path):
+    import hashlib
+    import random
+    rng = random.Random(12)
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.4]
+    assert edges == PINNED_EDGES
+    graph = tmp_path / "g7.graph"
+    graph.write_text("7 9\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in edges))
+    whiskers = "1,2,3,4,5,6,7"
+    for cmd, digest in PINNED_SHA256.items():
+        code, out, _ = run(capsys, cmd, str(graph), "--whisker", whiskers, "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        payload = tmp_path / f"{cmd}.json"
+        payload.write_text(out)
+        code, out, _ = run(capsys, "verify", str(graph), "--whisker", whiskers,
+                           "--in", str(payload))
+        assert code == 0 and out.startswith("verified: true")
+
+
+# a 9-vertex graph whose degree-6 dual component has no linear-quotients
+# order; proving that takes the order search about 10 400 nodes
+HOSTILE_TEXT = ("9 14\n1 7\n2 5\n2 7\n3 4\n3 5\n3 6\n3 9\n4 6\n4 8\n4 9\n"
+                "5 7\n5 8\n6 8\n8 9\n")
+
+
+def test_verify_dlq_report_search_is_budgeted(capsys, tmp_path, monkeypatch):
+    graph = tmp_path / "hostile.graph"
+    graph.write_text(HOSTILE_TEXT)
+    code, out, _ = run(capsys, "lin-quotients", str(graph), "--json")
+    assert code == 1 and json.loads(out)["per_degree"]["6"] is None
+    payload = tmp_path / "report.json"
+    payload.write_text(out)
+    code, out, _ = run(capsys, "verify", str(graph), "--in", str(payload))
+    assert code == 0 and "verified: true" in out  # within the default budget
+    import edgeideals.cli
+    monkeypatch.setattr(edgeideals.cli, "DEFAULT_SEARCH_BUDGET", 100)
+    code, out, err = run(capsys, "verify", str(graph), "--in", str(payload))
+    assert code == 2 and out == "" and "exceeded 100 nodes" in err

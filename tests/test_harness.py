@@ -25,6 +25,10 @@ def test_campaign_validation():
         Campaign("T9.9")
     with pytest.raises(InputError):
         Campaign("T3.2", trials=0)
+    # trial seeds seed * 1_000_003 + index would collide across seeds
+    with pytest.raises(InputError):
+        Campaign("T3.2", trials=1_000_003)
+    assert Campaign("T3.2", trials=1_000_002).trials == 1_000_002
 
 
 @pytest.mark.parametrize("claim", sorted(set(CLAIM_STATEMENTS) - {"T3.7"}))
@@ -107,3 +111,25 @@ def test_graph_key_reindexes():
     G = Graph(4, [(1, 2), (2, 3)])
     H = delete_vertices(G, [0])
     assert _graph_key(H) == (3, ((0, 1), (1, 2)))
+
+
+def test_shrink_skips_input_errors_but_propagates_defects():
+    def hyp(G, S):
+        return True
+
+    def concl_input_error(G, S, fields):
+        if G.n < 6:
+            raise InputError("not decidable here")
+        return (False, "fails")
+
+    G = cycle_graph(6)
+    G2, _ = _shrink(hyp, concl_input_error, G, frozenset(), ())
+    assert G2 is G  # every deletion raised InputError and was skipped
+
+    def concl_defect(G, S, fields):
+        if G.n < 6:
+            raise RuntimeError("defect while shrinking")
+        return (False, "fails")
+
+    with pytest.raises(RuntimeError):
+        _shrink(hyp, concl_defect, G, frozenset(), ())

@@ -164,3 +164,21 @@ def test_colon_contains_image_and_is_minimal():
         for a in C.gens:
             for b in C.gens:
                 assert a == b or not a.divides(b)
+
+
+def test_from_generators_matches_brute_minimal_sets():
+    # minimality is checked only against kept generators of lower degree;
+    # compare with the definition on random mixed-degree generating sets
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        sets = [frozenset(rng.sample(range(n), rng.randint(0, n)))
+                for _ in range(rng.randint(0, 12))]
+        I = MonomialIdeal.from_generators(n, [Monomial(s) for s in sets])
+        distinct = set(sets)
+        expected = sorted((Monomial(s) for s in distinct if not any(o < s for o in distinct)),
+                          key=lambda g: g.sort_key)
+        assert list(I.gens) == expected
+        assert MonomialIdeal(n, I.gens) == I  # the validating constructor agrees
+    with pytest.raises(InputError):
+        MonomialIdeal.from_generators(2, [M(0), M(1, 3)])  # outside ambient

@@ -9,9 +9,10 @@ from edgeideals import (Graph, InputError, Monomial, MonomialIdeal,
                         has_linear_resolution, is_chordal, make_order,
                         squarefree_degree_component, verify_order,
                         whisker_order, whisker_split)
-from edgeideals.quotients import reset_search_stats, search_stats
+from edgeideals.graphs import _bits, _mask_of
+from edgeideals.quotients import _colon_walk, _step_linear, reset_search_stats, search_stats
 
-from oracles import permutation_order_exists
+from oracles import colon_steps_by_ideal, permutation_order_exists
 
 M = Monomial
 
@@ -67,6 +68,87 @@ def test_degree_sorted_requirement():
     I = MonomialIdeal.from_generators(3, [M([0]), M([1, 2])])
     assert verify_order(make_order(I, [0, 1]))
     assert not verify_order(make_order(I, [1, 0]))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass colon kernel
+
+
+def _check_walk(ambient, seq):
+    """Cross-check every step of _colon_walk against the colon-ideal oracle
+    and the per-step prefix scan; returns whether the sequence is linear."""
+    colon, failed = _colon_walk(seq)
+    oracle = colon_steps_by_ideal(ambient, [list(_bits(m)) for m in seq])
+    assert colon[0] == 0 and not failed & 1
+    for i in range(1, len(seq)):
+        ok, v1 = _step_linear(seq[:i], seq[i])
+        linear, oracle_v1 = oracle[i - 1]
+        assert (not failed >> i & 1) == ok == linear
+        assert colon[i] == v1 == _mask_of(oracle_v1)
+    # stopping at the first failure keeps every earlier step and that bit only
+    stop_colon, stop_failed = _colon_walk(seq, stop_at_failure=True)
+    first = failed & -failed
+    assert stop_failed == first
+    upto = first.bit_length() if first else len(seq)
+    assert stop_colon[:upto] == colon[:upto]
+    return not failed
+
+
+def _walk_cases(rng):
+    graphs = [random_graph(rng, rng.randint(3, 10), rng.choice([0.15, 0.3, 0.45, 0.6]))
+              for _ in range(14)]
+    for _ in range(8):
+        base = random_graph(rng, rng.randint(2, 5), 0.5)
+        S = [v for v in range(base.n) if rng.random() < 0.8] or [0]
+        graphs.append(add_whiskers(base, S)[0])
+    return graphs
+
+
+def test_colon_walk_matches_colon_oracle_on_components():
+    rng = random.Random(71)
+    outcomes = {True: 0, False: 0}
+    for G in _walk_cases(rng):
+        dual = alexander_dual_of_edge_ideal(G)
+        if dual.is_zero:
+            continue
+        for d in range(dual.min_degree, G.n + 1):
+            masks = squarefree_degree_component(dual, d).gen_masks()
+            if len(masks) > 120:
+                continue
+            orders = [list(masks)] + [rng.sample(masks, len(masks)) for _ in range(3)]
+            for seq in orders:
+                outcomes[_check_walk(G.n, seq)] += 1
+    assert outcomes[True] >= 40 and outcomes[False] >= 40
+
+
+def test_colon_walk_matches_colon_oracle_on_mixed_degrees():
+    rng = random.Random(73)
+    outcomes = {True: 0, False: 0}
+    mixed = 0
+    for G in _walk_cases(rng):
+        dual = alexander_dual_of_edge_ideal(G)
+        masks = dual.gen_masks()
+        if len(masks) < 2 or len(masks) > 60:
+            continue
+        mixed += not dual.is_equigenerated
+        orders = [list(masks)] + [rng.sample(masks, len(masks)) for _ in range(4)]
+        for seq in orders:
+            outcomes[_check_walk(G.n, seq)] += 1
+    assert mixed >= 5
+    assert outcomes[True] >= 5 and outcomes[False] >= 20
+
+
+def test_identity_certificates_equal_make_order():
+    rng = random.Random(79)
+    identity = 0
+    for G in _walk_cases(rng):
+        for q in has_dual_linear_quotients(G).certificates().values():
+            r = len(q.order)
+            if q.order == tuple(range(r)):
+                assert q == make_order(q.ideal, range(r))
+                assert verify_order(q)
+                identity += 1
+    assert identity >= 40
 
 
 # ---------------------------------------------------------------------------
