@@ -130,18 +130,6 @@ def _colon_walk(masks, stop_at_failure=False):
     return colon, failed
 
 
-def _bitsets(masks) -> tuple:
-    """frozenset of set bits per mask, sharing one object per distinct mask."""
-    seen = {}
-    out = []
-    for m in masks:
-        s = seen.get(m)
-        if s is None:
-            s = seen[m] = frozenset(_bits(m))
-        out.append(s)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class QuotientOrder:
     """Ordering of an ideal's generators with per-step colon variables.
@@ -208,7 +196,7 @@ def make_order(ideal: MonomialIdeal, order) -> QuotientOrder:
     if sorted(order) != list(range(len(ideal.gens))):
         raise InputError("order is not a permutation of the generators")
     colon, _ = _colon_walk([ideal.gens[i].mask for i in order])
-    return QuotientOrder(ideal, order, _bitsets(colon))
+    return QuotientOrder(ideal, order, tuple(frozenset(_bits(m)) for m in colon))
 
 
 def verify_order(q: QuotientOrder) -> bool:
@@ -287,19 +275,15 @@ def _search_masks(masks, spend=None):
             nexts.pop()
 
 
-def _order_from_masks(ambient: int, ordered_masks, canonical=None, colon=None) -> QuotientOrder:
+def _order_from_masks(ambient: int, ordered_masks, canonical, colon=None) -> QuotientOrder:
     """QuotientOrder for a sequence of one component's generator masks.
 
-    ``canonical`` lists the same masks in canonical generator order when the
-    caller already has them (as ``_covers_by_size`` returns them); ``colon``
-    holds the sequence's colon-variable masks when a walk already computed
-    them.  Whatever is not given is derived here.
+    ``canonical`` lists the same masks in canonical generator order, as
+    ``_covers_by_size`` and ``MonomialIdeal.gen_masks`` return them;
+    ``colon`` holds the sequence's colon-variable masks when a walk already
+    computed them, and is derived here otherwise.
     """
-    if canonical is None:
-        gens = sorted((Monomial.from_mask(m) for m in ordered_masks), key=lambda g: g.sort_key)
-        ideal = MonomialIdeal(ambient, gens)
-    else:
-        ideal = MonomialIdeal._from_canonical(ambient, [Monomial.from_mask(m) for m in canonical])
+    ideal = MonomialIdeal._from_canonical(ambient, [Monomial.from_mask(m) for m in canonical])
     if ordered_masks == canonical:
         order = tuple(range(len(canonical)))
     else:
@@ -307,7 +291,7 @@ def _order_from_masks(ambient: int, ordered_masks, canonical=None, colon=None) -
         order = tuple(pos[m] for m in ordered_masks)
     if colon is None:
         colon, _ = _colon_walk(list(ordered_masks))
-    return QuotientOrder(ideal, order, _bitsets(colon))
+    return QuotientOrder(ideal, order, tuple(frozenset(_bits(m)) for m in colon))
 
 
 def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
@@ -323,12 +307,13 @@ def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
         colon, failed = _colon_walk(masks, stop_at_failure=True)
         if not failed:
             search_stats["identity"] += 1
-            return QuotientOrder(I, tuple(range(len(masks))), _bitsets(colon))
+            return QuotientOrder(I, tuple(range(len(masks))),
+                                 tuple(frozenset(_bits(m)) for m in colon))
     spend = _budget_counter(budget) if budget is not None else None
     found = _search_masks(masks, spend)
     if found is None:
         return None
-    return _order_from_masks(I.ambient, found)
+    return _order_from_masks(I.ambient, found, masks)
 
 
 def _budget_counter(budget: int):
@@ -638,4 +623,4 @@ def whisker_order(K: Graph, whisker, d: int, recurse=None) -> QuotientOrder:
                + [xbit | m for m in div])
     if set(seq) != set(gens_d) or len(seq) != len(gens_d):
         raise AssertionError("whisker blocks do not assemble the component")
-    return _order_from_masks(K.n, seq)
+    return _order_from_masks(K.n, seq, gens_d)

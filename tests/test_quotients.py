@@ -112,7 +112,9 @@ def test_colon_walk_matches_colon_oracle_on_components():
         if dual.is_zero:
             continue
         for d in range(dual.min_degree, G.n + 1):
-            masks = squarefree_degree_component(dual, d).gen_masks()
+            component = squarefree_degree_component(dual, d)
+            assert MonomialIdeal(component.ambient, component.gens) == component
+            masks = component.gen_masks()
             if len(masks) > 120:
                 continue
             orders = [list(masks)] + [rng.sample(masks, len(masks)) for _ in range(3)]
@@ -142,7 +144,13 @@ def test_identity_certificates_equal_make_order():
     rng = random.Random(79)
     identity = 0
     for G in _walk_cases(rng):
-        for q in has_dual_linear_quotients(G).certificates().values():
+        dual = alexander_dual_of_edge_ideal(G)
+        for d, q in has_dual_linear_quotients(G).certificates().items():
+            # the certificate's ideal is wrapped without the constructor's
+            # checks; the checking constructor and the component built from
+            # the dual must both agree with it
+            assert MonomialIdeal(q.ideal.ambient, q.ideal.gens) == q.ideal
+            assert squarefree_degree_component(dual, d) == q.ideal
             r = len(q.order)
             if q.order == tuple(range(r)):
                 assert q == make_order(q.ideal, range(r))
@@ -214,6 +222,7 @@ def test_find_order_matches_permutation_oracle():
             assert (q is not None) == oracle
             if q is not None:
                 assert verify_order(q)
+                assert q.ideal == comp
             checked += 1
     assert checked > 40
 
@@ -326,6 +335,7 @@ def test_whisker_order_covers_all_degrees_when_fully_whiskered():
                 assert verify_order(q)
                 assert {frozenset(g.support) for g in q.ideal.gens} == \
                     set(vertex_covers_of_size(W, d))
+                assert MonomialIdeal(q.ideal.ambient, q.ideal.gens) == q.ideal
 
 
 def test_whisker_order_fails_when_hypothesis_fails():
