@@ -17,7 +17,7 @@ from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, add_whiskers, delete_vertices, format_graph,
                      minimal_vertex_covers, is_unmixed, parse_graph,
                      vertex_covers_of_size)
-from .monomials import (alexander_dual_of_edge_ideal, edge_ideal,
+from .monomials import (Monomial, alexander_dual_of_edge_ideal, edge_ideal,
                         squarefree_degree_component)
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import FieldSpec, betti_at, betti_numbers, is_componentwise_linear
@@ -129,11 +129,13 @@ def _cmd_betti(args) -> int:
 
 def _cmd_lin_quotients(args) -> int:
     G = _load_graph(args)
-    report = has_dual_linear_quotients(G)
+    report = has_dual_linear_quotients(G, budget=DEFAULT_SEARCH_BUDGET)
     lines = []
-    for d in sorted(report.per_degree):
-        q = report.per_degree[d]
-        if q is None:
+    for d in sorted({*report.per_degree, *report.unknown}):
+        q = report.per_degree.get(d)
+        if d in report.unknown:
+            lines.append(f"degree {d}: unknown (search budget exceeded)")
+        elif q is None:
             lines.append(f"degree {d}: no linear-quotients order exists")
         else:
             sizes = ",".join(str(s) for s in q.step_sizes())
@@ -251,17 +253,18 @@ def _verify_verdict(G, data):
     ev = data.get("evidence", {})
     kind = ev.get("kind")
     unmixed_claim = data.get("unmixed")
+    dual = alexander_dual_of_edge_ideal(G)
     if prop == "CM":
         if unmixed_claim is None:
             return False, "CM verdict lacks the unmixed flag"
-        if is_unmixed(G) != unmixed_claim:
+        # G is unmixed iff its minimal covers, the dual's generators, share one size
+        if dual.is_equigenerated != unmixed_claim:
             return False, "unmixed flag does not match the graph"
     if kind == "zero-ideal-convention":
         if G.edge_count() != 0:
             return False, "zero-ideal evidence but the graph has edges"
         scm_value = True
     elif kind == "quotient-certificates":
-        dual = alexander_dual_of_edge_ideal(G)
         dmin = dual.min_degree if not dual.is_zero else 0
         per = ev.get("per_degree", {})
         have = {int(d) for d in per}
@@ -283,14 +286,13 @@ def _verify_verdict(G, data):
             raise InputError(f"unknown variable {exc} in witness") from None
         if len(b) == d + i:
             return False, "witness multidegree lies on the linear strand"
-        from .monomials import Monomial
-        comp = squarefree_degree_component(alexander_dual_of_edge_ideal(G), d)
+        comp = squarefree_degree_component(dual, d)
         rank = betti_at(comp, Monomial(b), i, field)
         if rank == 0:
             return False, "witness Betti number vanishes on re-computation"
         scm_value = False
     elif kind == "componentwise-scan":
-        report = is_componentwise_linear(alexander_dual_of_edge_ideal(G), field)
+        report = is_componentwise_linear(dual, field)
         if not report.verdict:
             return False, "componentwise-scan evidence but the dual is not componentwise linear"
         scm_value = True

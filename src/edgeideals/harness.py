@@ -408,11 +408,7 @@ def all_induced_dlq(G: Graph, all_memo=None, dlq_memo=None) -> bool:
             ok = False
             break
     if ok:
-        dlq = dlq_memo.get(key)
-        if dlq is None:
-            dlq = has_dual_linear_quotients(G).verdict
-            dlq_memo[key] = dlq
-        ok = dlq
+        ok = _dlq_cached(G, dlq_memo)
     all_memo[key] = ok
     return ok
 

@@ -33,8 +33,6 @@ __all__ = [
     "has_linear_resolution",
     "nonlinear_witness",
     "is_componentwise_linear",
-    "hilbert_numerator_from_gens",
-    "hilbert_numerator_from_betti",
 ]
 
 
@@ -494,34 +492,3 @@ def is_componentwise_linear(I: MonomialIdeal, field: FieldSpec = GF2) -> CWLRepo
         if w is not None:
             return CWLReport(I, field, per_degree, (d, w[0], w[1]))
     return CWLReport(I, field, per_degree)
-
-
-# ---------------------------------------------------------------------------
-# Hilbert-series cross-check helpers
-
-
-def hilbert_numerator_from_gens(M: MonomialIdeal) -> dict:
-    """K-polynomial of R/M by inclusion-exclusion over generator lcms."""
-    out = {}
-    gens = M.gen_masks()
-    for sub in range(1 << len(gens)):
-        m = 0
-        bits = 0
-        s = sub
-        while s:
-            low = s & -s
-            m |= gens[low.bit_length() - 1]
-            bits += 1
-            s ^= low
-        deg = bin(m).count("1")
-        out[deg] = out.get(deg, 0) + (-1 if bits & 1 else 1)
-    return {k: v for k, v in out.items() if v}
-
-
-def hilbert_numerator_from_betti(table: BettiTable) -> dict:
-    """K-polynomial of R/M from the Betti numbers of M."""
-    out = {0: 1}
-    for (i, j), r in table.totals.items():
-        sign = 1 if i & 1 else -1
-        out[j] = out.get(j, 0) + sign * r
-    return {k: v for k, v in out.items() if v}

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import Graph, induced_subgraph, _bits, _covers_by_size, _mask_of
+from .graphs import Graph, _bits, _covers_by_size, _mask_of
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
@@ -397,45 +397,57 @@ class _OrderSearch:
         return _search_masks(gens, self.spend)
 
     def _structural_candidate(self, active: int, d: int):
-        """Order built from the vertex-cover decomposition at an isolated
-        vertex or a pendant vertex; None when the recursion cannot certify."""
-        iso = [v for v in _bits(active) if self.adj[v] & active == 0]
-        if iso:
-            wbit = 1 << iso[0]
-            rest = active ^ wbit
-            e_block = self.order(rest, d)
-            f_block = self.order(rest, d - 1)
-            if e_block is None or f_block is None:
-                return None
-            return list(e_block) + [m | wbit for m in f_block]
-        tip = None
+        """Order along the whisker decomposition at the first isolated
+        vertex, else the last pendant vertex; None when a block has none."""
+        x = None
         for v in _bits(active):
             nb = self.adj[v] & active
-            if nb and nb & (nb - 1) == 0:
-                tip = v
-        if tip is None:
+            if not nb:
+                x = v
+                break
+            if nb & (nb - 1) == 0:
+                x = v
+        if x is None:
             return None
-        return self._tip_candidate(active, tip, (self.adj[tip] & active).bit_length() - 1, d)
+        return _whisker_seq(self, active, x, d, self.order)
 
-    def _tip_candidate(self, active: int, x: int, y: int, d: int):
-        xbit, ybit = 1 << x, 1 << y
-        rest = active ^ xbit ^ ybit
-        b_block = self.order(rest, d - 1)
+
+def _whisker_seq(ctx, active: int, x: int, d: int, block):
+    """Degree-d covers of ``active`` ordered along the decomposition at x.
+
+    x is isolated in ``active`` or a degree-one tip with base y.  Isolated:
+    E, the covers of the rest, then F*x.  Tip: y*B, B the covers avoiding
+    x and y; then x*D*C, D the other neighbours of y and C the covers of
+    what D leaves; then x times the A covers (those avoiding x) that
+    contain y.  ``block(mask, degree)`` orders each smaller component; a
+    None block makes the result None.  Which blocks get ordered shows in
+    ``search_stats``: E and F are both ordered, C only after B.
+    """
+    xbit = 1 << x
+    ybit = ctx.adj[x] & active
+    rest = active ^ xbit ^ ybit
+    if not ybit:
+        e_block = block(rest, d)
+        f_block = block(rest, d - 1)
+        if e_block is None or f_block is None:
+            return None
+        seq = list(e_block) + [m | xbit for m in f_block]
+    else:
+        b_block = block(rest, d - 1)
         if b_block is None:
             return None
-        a_masks = self.gens(active ^ xbit, d - 1)
-        dmask = self.adj[y] & active & ~xbit
-        u = _popcount(dmask)
-        c_block = self.order(rest & ~dmask, d - 1 - u)
+        dmask = ctx.adj[ybit.bit_length() - 1] & rest
+        c_block = block(rest & ~dmask, d - 1 - _popcount(dmask))
         if c_block is None:
             return None
-        nondiv = [m for m in a_masks if not m & ybit]
-        if {dmask | c for c in c_block} != set(nondiv):
-            return None
-        div = [m for m in a_masks if m & ybit]
-        return ([ybit | m for m in b_block]
-                + [xbit | dmask | c for c in c_block]
-                + [xbit | m for m in div])
+        div = [m for m in ctx.gens(active ^ xbit, d - 1) if m & ybit]
+        seq = ([ybit | m for m in b_block]
+               + [xbit | dmask | c for c in c_block]
+               + [xbit | m for m in div])
+    gens = ctx.gens(active, d)
+    if len(seq) != len(gens) or set(seq) != set(gens):
+        raise AssertionError("whisker blocks do not assemble the component")
+    return seq
 
 
 @dataclass
@@ -563,64 +575,24 @@ def whisker_split(K: Graph, whisker, d: int) -> WhiskerSplit:
                         frozenset(_bits(dmask)), to_sets(c_masks))
 
 
-def whisker_order(K: Graph, whisker, d: int, recurse=None) -> QuotientOrder:
+def whisker_order(K: Graph, whisker, d: int) -> QuotientOrder:
     """Order the degree-d dual component along the whisker decomposition.
 
-    ``recurse(subgraph, degree)`` supplies orders for the smaller components
-    (B and C blocks); None falls back to the canonical order for that block,
-    and the default oracle is this module's own pipeline.  The result is a
-    candidate: callers decide with ``verify_order`` whether it certifies,
-    and with a failing hypothesis it genuinely may not.
+    The smaller components (the B and C blocks, or E and F at an isolated
+    vertex) are ordered by this module's own pipeline, falling back to the
+    canonical order where none exists.  The result is a candidate: callers
+    decide with ``verify_order`` whether it certifies, and with a failing
+    hypothesis it genuinely may not.
     """
-    x, y, deg = _validate_whisker(K, whisker)
+    x, _, _ = _validate_whisker(K, whisker)
+    ctx = _OrderSearch(K.adj)
     full = (1 << K.n) - 1
-    gens_d = _covers_by_size(K.adj, full).get(d, [])
+    gens_d = ctx.gens(full, d)
     if not gens_d:
         raise InputError(f"the degree-{d} dual component is zero")
 
-    def sub_order(keep_mask: int, dd: int):
-        keep = list(_bits(keep_mask))
-        canonical = _covers_by_size(K.adj, keep_mask).get(dd, [])
-        if dd < 0 or not canonical:
-            return []
-        sub = induced_subgraph(K, keep)
-        if recurse is None:
-            q = _OrderSearch(sub.adj).quotient_order(sub.n, (1 << sub.n) - 1, dd)
-        else:
-            q = recurse(sub, dd)
-        if q is None:
-            return canonical
-        embedded = []
-        for g in q.ordered_gens():
-            m = 0
-            for b in _bits(g.mask):
-                m |= 1 << keep[b]
-            embedded.append(m)
-        if set(embedded) != set(canonical):
-            raise InputError("recursion oracle returned a different component")
-        return embedded
+    def block(mask: int, dd: int):
+        got = ctx.order(mask, dd)
+        return ctx.gens(mask, dd) if got is None else got
 
-    xbit = 1 << x
-    if deg == 0:
-        e_block = sub_order(full ^ xbit, d)
-        f_block = sub_order(full ^ xbit, d - 1)
-        seq = list(e_block) + [m | xbit for m in f_block]
-    else:
-        ybit = 1 << y
-        rest = full ^ xbit ^ ybit
-        b_block = sub_order(rest, d - 1)
-        a_masks = _covers_by_size(K.adj, full ^ xbit).get(d - 1, [])
-        dmask = K.adj[y] & ~xbit
-        u = _popcount(dmask)
-        c_block = sub_order(rest & ~dmask, d - 1 - u)
-        nondiv = {m for m in a_masks if not m & ybit}
-        built = [dmask | c for c in c_block]
-        if set(built) != nondiv:
-            raise AssertionError("cover decomposition mismatch at the whisker")
-        div = [m for m in a_masks if m & ybit]
-        seq = ([ybit | m for m in b_block]
-               + [xbit | m for m in built]
-               + [xbit | m for m in div])
-    if set(seq) != set(gens_d) or len(seq) != len(gens_d):
-        raise AssertionError("whisker blocks do not assemble the component")
-    return _order_from_masks(K.n, seq, gens_d)
+    return _order_from_masks(K.n, _whisker_seq(ctx, full, x, d, block), gens_d)

@@ -113,3 +113,30 @@ def koszul_faces_by_scan(gen_supports, b):
             if any(g <= rest for g in gen_supports):
                 faces.add(a)
     return faces
+
+
+def hilbert_numerator_from_gens(M):
+    """K-polynomial of R/M by inclusion-exclusion over generator lcms."""
+    out = {}
+    gens = M.gen_masks()
+    for sub in range(1 << len(gens)):
+        m = 0
+        bits = 0
+        s = sub
+        while s:
+            low = s & -s
+            m |= gens[low.bit_length() - 1]
+            bits += 1
+            s ^= low
+        deg = bin(m).count("1")
+        out[deg] = out.get(deg, 0) + (-1 if bits & 1 else 1)
+    return {k: v for k, v in out.items() if v}
+
+
+def hilbert_numerator_from_betti(table):
+    """K-polynomial of R/M from the Betti numbers of M."""
+    out = {0: 1}
+    for (i, j), r in table.totals.items():
+        sign = 1 if i & 1 else -1
+        out[j] = out.get(j, 0) + sign * r
+    return {k: v for k, v in out.items() if v}

@@ -128,6 +128,40 @@ def test_verify_detects_tampered_value(capsys, tmp_path, c4):
     assert code == 1 and "does not match" in out
 
 
+def test_verify_detects_flipped_unmixed_flag(capsys, tmp_path, c5, ex43):
+    edgeless = tmp_path / "edgeless.graph"
+    edgeless.write_text("3 0\n")
+    for path, unmixed in ((c5, True), (ex43, False), (str(edgeless), True)):
+        _, out, _ = run(capsys, "is-cm", path, "--json")
+        data = json.loads(out)
+        assert data["unmixed"] is unmixed
+        payload = tmp_path / "payload.json"
+        payload.write_text(out)
+        code, out, _ = run(capsys, "verify", path, "--in", str(payload))
+        assert code == 0 and "verified: true" in out
+        data["unmixed"] = not unmixed
+        payload.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", path, "--in", str(payload))
+        assert code == 1 and "unmixed flag does not match" in out
+
+
+def test_lin_quotients_search_is_budgeted(capsys, tmp_path, c4, monkeypatch):
+    import edgeideals.cli
+    monkeypatch.setattr(edgeideals.cli, "DEFAULT_SEARCH_BUDGET", 0)
+    code, out, _ = run(capsys, "lin-quotients", c4)
+    assert code == 1
+    assert out.splitlines()[0] == "degree 2: unknown (search budget exceeded)"
+    assert out.splitlines()[-1] == "dual linear quotients: none"
+    code, out, _ = run(capsys, "lin-quotients", c4, "--json")
+    data = json.loads(out)
+    assert code == 1 and data["unknown"] == [2] and "2" not in data["per_degree"]
+    assert data["verdict"] is None
+    payload = tmp_path / "report.json"
+    payload.write_text(out)
+    code, out, _ = run(capsys, "verify", c4, "--in", str(payload))
+    assert code == 0 and "verified: true" in out
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.graph"
     bad.write_text("2 1\n1 1\n")
@@ -243,3 +277,30 @@ def test_verify_dlq_report_search_is_budgeted(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(edgeideals.cli, "DEFAULT_SEARCH_BUDGET", 100)
     code, out, err = run(capsys, "verify", str(graph), "--in", str(payload))
     assert code == 2 and out == "" and "exceeded 100 nodes" in err
+
+
+# plain G(7, 0.4) drawn from random.Random(0); the order search orders two
+# degrees of its dual along the whisker decomposition at a pendant vertex,
+# and the hash pins the output recorded before that decomposition was
+# written once for the search and whisker_order
+STRUCTURAL_EDGES = [(0, 4), (1, 3), (2, 4), (3, 4), (5, 6)]
+STRUCTURAL_SHA256 = "c59e34323365700002304e4a6290d2dbe30a3e08a7e777f7fd767215c74eb75f"
+
+
+def test_structural_order_bytes_pinned(capsys, tmp_path):
+    import hashlib
+    import random
+    from edgeideals.quotients import reset_search_stats, search_stats
+    rng = random.Random(0)
+    edges = [(u, v) for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.4]
+    assert edges == STRUCTURAL_EDGES
+    graph = tmp_path / "g7.graph"
+    graph.write_text("7 5\n" + "".join(f"{u + 1} {v + 1}\n" for u, v in edges))
+    reset_search_stats()
+    code, out, _ = run(capsys, "lin-quotients", str(graph), "--json")
+    assert code == 0 and search_stats["structural"] == 2
+    assert hashlib.sha256(out.encode()).hexdigest() == STRUCTURAL_SHA256
+    payload = tmp_path / "report.json"
+    payload.write_text(out)
+    code, out, _ = run(capsys, "verify", str(graph), "--in", str(payload))
+    assert code == 0 and out.startswith("verified: true")

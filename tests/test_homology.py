@@ -10,9 +10,8 @@ from edgeideals import (GF2, GF3, QQ, FieldSpec, Graph, InputError, Monomial,
                         find_order, has_linear_resolution, is_componentwise_linear,
                         make_order, nonlinear_witness, reduced_homology_ranks,
                         squarefree_degree_component, upper_koszul_complex)
-from edgeideals.homology import hilbert_numerator_from_betti, hilbert_numerator_from_gens
-
-from oracles import component_count, koszul_faces_by_scan
+from oracles import (component_count, hilbert_numerator_from_betti,
+                     hilbert_numerator_from_gens, koszul_faces_by_scan)
 
 M = Monomial
 
