@@ -17,11 +17,10 @@ from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, add_whiskers, delete_vertices, format_graph,
                      minimal_vertex_covers, is_unmixed, parse_graph,
                      vertex_covers_of_size)
-from .monomials import (Monomial, alexander_dual_of_edge_ideal, edge_ideal,
-                        squarefree_degree_component)
-from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
-from .homology import FieldSpec, betti_at, betti_numbers, is_componentwise_linear
-from .decide import DEFAULT_SEARCH_BUDGET, is_cm, is_sequentially_cm
+from . import monomials
+from .quotients import has_dual_linear_quotients
+from .homology import FieldSpec, betti_numbers
+from .decide import DEFAULT_SEARCH_BUDGET, check_evidence, is_cm, is_sequentially_cm
 from .harness import Campaign, run_campaign, run_fixture, CLAIM_STATEMENTS, FIXTURE_IDS
 
 FIELD_ENV = "EDGEIDEALS_FIELD"
@@ -47,16 +46,19 @@ def _parse_vertex_list(text: str, n: int, what: str) -> list:
     return out
 
 
+def _read_text(path: str) -> str:
+    """The contents of ``path``, or of stdin for -."""
+    if path == "-":
+        return sys.stdin.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+
+
 def _load_graph(args) -> Graph:
-    if args.graph == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.graph, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.graph}: {exc}") from None
-    G = parse_graph(text)
+    G = parse_graph(_read_text(args.graph))
     if getattr(args, "whisker", None):
         G, _ = add_whiskers(G, _parse_vertex_list(args.whisker, G.n, "whisker"))
     if getattr(args, "delete", None):
@@ -86,7 +88,7 @@ def _emit(args, payload: dict, text: str) -> None:
 
 def _cmd_dual(args) -> int:
     G = _load_graph(args)
-    dual = alexander_dual_of_edge_ideal(G)
+    dual = monomials.alexander_dual_of_edge_ideal(G)
     lines = [f"dual generators ({len(dual.gens)}):"]
     lines += [f"  {_mono_text(g.support, G.labels)}" for g in dual.gens]
     _emit(args, dual.to_json(G.labels), "\n".join(lines) + "\n")
@@ -116,9 +118,10 @@ def _cmd_covers(args) -> int:
 def _cmd_betti(args) -> int:
     G = _load_graph(args)
     field = FieldSpec.parse(args.field)
-    ideal = edge_ideal(G) if args.of == "edge" else alexander_dual_of_edge_ideal(G)
+    ideal = (monomials.edge_ideal(G) if args.of == "edge"
+             else monomials.alexander_dual_of_edge_ideal(G))
     if args.component is not None:
-        ideal = squarefree_degree_component(ideal, args.component)
+        ideal = monomials.squarefree_degree_component(ideal, args.component)
     table = betti_numbers(ideal, field)
     payload = table.to_json(G.labels)
     payload["of"] = args.of
@@ -197,137 +200,13 @@ def _cmd_whisker(args) -> int:
 # verify
 
 
-def _verify_certificate(G, data, dual):
-    """Re-check one certificate against ``dual``, the Alexander dual of G's
-    edge ideal, which callers build once per payload."""
-    if list(data.get("vars", [])) != list(G.labels):
-        return False, "certificate variables do not match the graph's labels"
-    q = QuotientOrder.from_json(data)
-    if q.ideal.is_zero or not q.ideal.is_equigenerated:
-        target = dual
-    else:
-        target = squarefree_degree_component(dual, q.ideal.min_degree)
-    if q.ideal != target:
-        return False, "certificate generators do not match the graph's dual component"
-    ok = verify_order(q)
-    return ok, "linear quotients verified" if ok else "colon steps do not verify"
-
-
-def _verify_dlq_report(G, data):
-    dual = alexander_dual_of_edge_ideal(G)
-    dmin = dual.min_degree if not dual.is_zero else 0
-    per = data.get("per_degree", {})
-    known = {int(d) for d in per}
-    expected = set(range(dmin, G.n + 1))
-    missing = expected - known - {int(d) for d in data.get("unknown", [])} \
-        - {int(d) for d in data.get("skipped", [])}
-    if missing:
-        return False, f"report does not account for degrees {sorted(missing)}"
-    exact_false = False
-    for d_str, cert in sorted(per.items(), key=lambda kv: int(kv[0])):
-        d = int(d_str)
-        if cert is None:
-            # a hostile payload must not buy an unbounded search: an overrun
-            # raises SearchBudgetExceeded, which exits 2
-            comp = squarefree_degree_component(dual, d)
-            if find_order(comp, budget=DEFAULT_SEARCH_BUDGET) is not None:
-                return False, f"degree {d} claimed impossible but an order exists"
-            exact_false = True
-        else:
-            ok, why = _verify_certificate(G, cert, dual)
-            if not ok:
-                return False, f"degree {d}: {why}"
-    verdict = data.get("verdict")
-    recomputed = False if exact_false else (None if data.get("unknown") else True)
-    if verdict != recomputed:
-        return False, f"verdict {verdict} does not match re-checked {recomputed}"
-    return True, "report verified"
-
-
-def _verify_verdict(G, data):
-    prop = data.get("property")
-    if prop not in ("SCM", "CM"):
-        raise InputError(f"unknown verdict property {prop!r}")
-    value = data.get("value")
-    field = FieldSpec.parse(data.get("field", "2"))
-    ev = data.get("evidence", {})
-    kind = ev.get("kind")
-    unmixed_claim = data.get("unmixed")
-    dual = alexander_dual_of_edge_ideal(G)
-    if prop == "CM":
-        if unmixed_claim is None:
-            return False, "CM verdict lacks the unmixed flag"
-        # G is unmixed iff its minimal covers, the dual's generators, share one size
-        if dual.is_equigenerated != unmixed_claim:
-            return False, "unmixed flag does not match the graph"
-    if kind == "zero-ideal-convention":
-        if G.edge_count() != 0:
-            return False, "zero-ideal evidence but the graph has edges"
-        scm_value = True
-    elif kind == "quotient-certificates":
-        dmin = dual.min_degree if not dual.is_zero else 0
-        per = ev.get("per_degree", {})
-        have = {int(d) for d in per}
-        need = set(range(dmin, G.n + 1))
-        if have != need:
-            return False, f"certificates cover degrees {sorted(have)}, need {sorted(need)}"
-        for d_str, cert in per.items():
-            ok, why = _verify_certificate(G, cert, dual)
-            if not ok:
-                return False, f"degree {d_str}: {why}"
-        scm_value = True
-    elif kind == "betti-witness":
-        d = int(ev["degree"])
-        i = int(ev["index"])
-        index = {name: v for v, name in enumerate(G.labels)}
-        try:
-            b = frozenset(index[name] for name in ev["multidegree"])
-        except KeyError as exc:
-            raise InputError(f"unknown variable {exc} in witness") from None
-        if len(b) == d + i:
-            return False, "witness multidegree lies on the linear strand"
-        comp = squarefree_degree_component(dual, d)
-        rank = betti_at(comp, Monomial(b), i, field)
-        if rank == 0:
-            return False, "witness Betti number vanishes on re-computation"
-        scm_value = False
-    elif kind == "componentwise-scan":
-        report = is_componentwise_linear(dual, field)
-        if not report.verdict:
-            return False, "componentwise-scan evidence but the dual is not componentwise linear"
-        scm_value = True
-    else:
-        raise InputError(f"evidence kind {kind!r} is not re-checkable here")
-    expected = scm_value if prop == "SCM" else (scm_value and unmixed_claim)
-    if value != expected:
-        return False, f"verdict value {value} does not match re-checked {expected}"
-    return True, "verdict verified"
-
-
 def _cmd_verify(args) -> int:
     G = _load_graph(args)
-    if args.infile == "-":
-        raw = sys.stdin.read()
-    else:
-        try:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                raw = fh.read()
-        except OSError as exc:
-            raise InputError(f"cannot read {args.infile}: {exc}") from None
     try:
-        data = json.loads(raw)
+        data = json.loads(_read_text(args.infile))
     except json.JSONDecodeError as exc:
         raise InputError(f"bad JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError("expected a JSON object")
-    if "property" in data:
-        ok, why = _verify_verdict(G, data)
-    elif data.get("kind") == "dlq-report":
-        ok, why = _verify_dlq_report(G, data)
-    elif "ordered_gens" in data:
-        ok, why = _verify_certificate(G, data, alexander_dual_of_edge_ideal(G))
-    else:
-        raise InputError("unrecognized payload: expected a verdict, dlq-report, or certificate")
+    ok, why = check_evidence(G, data)
     _emit(args, {"verified": ok, "reason": why},
           f"verified: {str(ok).lower()} ({why})\n")
     return 0 if ok else 1

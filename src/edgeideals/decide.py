@@ -3,8 +3,8 @@
 The fast path hunts for dual linear-quotients certificates, which decide
 the question independently of the field; the fallback computes
 componentwise linearity of the dual homologically over a declared field.
-Every verdict carries evidence that can be re-checked without trusting the
-path that produced it.
+Every verdict carries evidence that ``check_evidence`` re-checks without
+trusting the path that produced it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from .errors import InputError
 from .graphs import (Graph, add_whiskers, delete_vertices, is_unmixed,
                      classify_remainder, RemainderClass, _bits)
 from .monomials import Monomial, alexander_dual_of_edge_ideal, squarefree_degree_component
-from .quotients import has_dual_linear_quotients
+from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (FieldSpec, GF2, betti_at, is_componentwise_linear,
                        nonlinear_witness, upper_koszul_complex)
 
@@ -33,6 +33,7 @@ __all__ = [
     "sufficient_scm",
     "necessary_scm",
     "check_koszul_lift",
+    "check_evidence",
     "DEFAULT_SEARCH_BUDGET",
 ]
 
@@ -296,3 +297,157 @@ def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> 
     rank_b = betti_at(comp_h, b_local, w.index, field)
     rank_c = betti_at(comp_w, c_mon, w.index, field)
     return rank_b == rank_c and rank_b > 0
+
+
+# ---------------------------------------------------------------------------
+# re-checking evidence
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise InputError(f"{what}: expected a JSON object")
+    return value
+
+
+def _int(value, what: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise InputError(f"bad {what} {value!r}") from None
+
+
+def _check_certificate(G: Graph, dual, data, d=None):
+    """Re-check one certificate against ``dual``, the Alexander dual of G.
+
+    It must order the degree-d component of the dual (without d, the
+    component of its own degree, or the whole dual when its generators'
+    degrees differ) and pass ``verify_order``.
+    """
+    if _object(data, "certificate").get("vars") != list(G.labels):
+        return False, "certificate variables do not match the graph's labels"
+    q = QuotientOrder.from_json(data)
+    if d is None and not q.ideal.is_zero:
+        d = q.degree
+    if q.ideal != (dual if d is None else squarefree_degree_component(dual, d)):
+        return False, "certificate generators do not match the graph's dual component"
+    ok = verify_order(q)
+    return ok, "linear quotients verified" if ok else "colon steps do not verify"
+
+
+def _check_per_degree(G: Graph, dual, per, undecided=()):
+    """Re-check a map from degree keys to certificates or null.
+
+    The keys and the ``undecided`` degrees (unknown or skipped) must name
+    every degree dmin..n of the dual exactly once.  A certificate must
+    order the component of its own key's degree.  A null entry claims that
+    component has no order, which a search within ``DEFAULT_SEARCH_BUDGET``
+    nodes must confirm; an overrun raises SearchBudgetExceeded.  Returns
+    (reason, verdict): the first failure or None, and the dual-linear-
+    quotients verdict the evidence supports (False with a confirmed null,
+    else None with an undecided degree, else True).
+    """
+    entries = sorted(((_int(k, "degree"), v) for k, v in _object(per, "per_degree").items()),
+                     key=lambda e: e[0])
+    degrees = sorted([d for d, _ in entries] + list(undecided))
+    dmin = dual.min_degree  # the dual of an edge ideal is never zero
+    if degrees != list(range(dmin, G.n + 1)):
+        return f"degrees {degrees} do not account for {dmin}..{G.n} exactly once", None
+    impossible = False
+    for d, cert in entries:
+        if cert is None:
+            if find_order(squarefree_degree_component(dual, d),
+                          budget=DEFAULT_SEARCH_BUDGET) is not None:
+                return f"degree {d} claimed impossible but an order exists", None
+            impossible = True
+        else:
+            ok, why = _check_certificate(G, dual, cert, d)
+            if not ok:
+                return f"degree {d}: {why}", None
+    return None, False if impossible else (None if undecided else True)
+
+
+def _check_dlq_report(G: Graph, dual, data):
+    undecided = []
+    for key in ("unknown", "skipped"):
+        values = data.get(key, [])
+        if not isinstance(values, list):
+            raise InputError(f"{key}: expected a JSON list")
+        undecided += [_int(d, f"{key} degree") for d in values]
+    why, recomputed = _check_per_degree(G, dual, data.get("per_degree"), undecided)
+    if why:
+        return False, why
+    verdict = data.get("verdict")
+    if verdict != recomputed:
+        return False, f"verdict {verdict} does not match re-checked {recomputed}"
+    return True, "report verified"
+
+
+def _check_verdict(G: Graph, dual, data):
+    prop = data.get("property")
+    if prop not in ("SCM", "CM"):
+        raise InputError(f"unknown verdict property {prop!r}")
+    value = data.get("value")
+    field = FieldSpec.parse(data.get("field", "2"))
+    ev = _object(data.get("evidence"), "evidence")
+    kind = ev.get("kind")
+    unmixed_claim = data.get("unmixed")
+    if prop == "CM":
+        if unmixed_claim is None:
+            return False, "CM verdict lacks the unmixed flag"
+        # G is unmixed iff its minimal covers, the dual's generators, share one size
+        if dual.is_equigenerated != unmixed_claim:
+            return False, "unmixed flag does not match the graph"
+    if kind == "zero-ideal-convention":
+        if G.edge_count() != 0:
+            return False, "zero-ideal evidence but the graph has edges"
+    elif kind == "quotient-certificates":
+        why, dlq = _check_per_degree(G, dual, ev.get("per_degree"))
+        if why:
+            return False, why
+        if not dlq:
+            return False, "quotient-certificates evidence with a degree that has no order"
+    elif kind == "betti-witness":
+        d = _int(ev.get("degree"), "witness degree")
+        i = _int(ev.get("index"), "witness index")
+        index = {name: v for v, name in enumerate(G.labels)}
+        names = ev.get("multidegree")
+        try:
+            b = frozenset(index[name] for name in names)
+        except (KeyError, TypeError):
+            raise InputError(f"bad witness multidegree {names!r}") from None
+        if len(b) == d + i:
+            return False, "witness multidegree lies on the linear strand"
+        comp = squarefree_degree_component(dual, d)
+        if betti_at(comp, Monomial(b), i, field) == 0:
+            return False, "witness Betti number vanishes on re-computation"
+    elif kind == "componentwise-scan":
+        if not is_componentwise_linear(dual, field).verdict:
+            return False, "componentwise-scan evidence but the dual is not componentwise linear"
+    else:
+        raise InputError(f"evidence kind {kind!r} is not re-checkable here")
+    scm_value = kind != "betti-witness"
+    expected = scm_value if prop == "SCM" else (scm_value and unmixed_claim)
+    if value != expected:
+        return False, f"verdict value {value} does not match re-checked {expected}"
+    return True, "verdict verified"
+
+
+def check_evidence(G: Graph, data) -> tuple:
+    """Re-check a payload against G without trusting the path that made it.
+
+    ``data`` is the JSON of a ``Verdict``, of a dlq-report (as
+    ``lin-quotients --json`` prints it) or of one ``QuotientOrder``.
+    Returns (ok, reason).  A malformed payload raises InputError.
+    Re-searching a degree claimed to have no order raises
+    SearchBudgetExceeded past ``DEFAULT_SEARCH_BUDGET`` nodes.
+    """
+    data = _object(data, "payload")
+    if "property" in data:
+        check = _check_verdict
+    elif data.get("kind") == "dlq-report":
+        check = _check_dlq_report
+    elif "ordered_gens" in data:
+        check = _check_certificate
+    else:
+        raise InputError("unrecognized payload: expected a verdict, dlq-report, or certificate")
+    return check(G, alexander_dual_of_edge_ideal(G), data)

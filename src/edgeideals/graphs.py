@@ -320,7 +320,8 @@ def classify_remainder(G: Graph, S) -> RemainderClass:
 
 
 def _independent_sets(adj, verts_mask: int):
-    """Yield every independent subset of verts_mask (masks, unordered)."""
+    """Yield every independent subset of verts_mask as a mask: first those
+    avoiding its lowest vertex, then those containing it, recursively."""
     if verts_mask == 0:
         yield 0
         return
@@ -336,20 +337,22 @@ def _covers_by_size(adj, active: int) -> dict:
     """All vertex covers of the induced subgraph on ``active``, keyed by size.
 
     Covers are subsets of ``active`` (complements of independent sets), so
-    isolated vertices may pad a cover.  Each size class is in canonical
-    lexicographic order on sorted vertex indices.
+    isolated vertices may pad a cover.  Each size class comes out in
+    canonical lexicographic order on sorted vertex indices with no sort:
+    ``_independent_sets`` branches on the lowest vertex and first yields
+    the sets avoiding it, whose covers contain it, and two covers of one
+    size are ordered by the lowest vertex in which they differ.
     """
     out = {}
     for s in _independent_sets(adj, active):
         cover = active ^ s
         out.setdefault(bin(cover).count("1"), []).append(cover)
-    for size in out:
-        out[size].sort(key=_key)
     return out
 
 
 def _minimal_cover_masks(adj, active: int) -> list:
-    """Complements of maximal independent sets, canonically ordered."""
+    """Complements of maximal independent sets, canonically ordered (by
+    size, then, as in ``_covers_by_size``, in enumeration order)."""
     covers = []
     for s in _independent_sets(adj, active):
         maximal = True
@@ -359,7 +362,7 @@ def _minimal_cover_masks(adj, active: int) -> list:
                 break
         if maximal:
             covers.append(active ^ s)
-    covers.sort(key=lambda m: (bin(m).count("1"), _key(m)))
+    covers.sort(key=int.bit_count)
     return covers
 
 

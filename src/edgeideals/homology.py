@@ -71,7 +71,7 @@ class FieldSpec:
 
     @classmethod
     def parse(cls, text: str) -> "FieldSpec":
-        t = text.strip().lower()
+        t = text.strip().lower() if isinstance(text, str) else ""
         if t in ("q", "0", "rationals"):
             return cls(None)
         if t.startswith("p:"):

@@ -19,14 +19,11 @@ from .monomials import Monomial, MonomialIdeal
 __all__ = [
     "QuotientOrder",
     "DLQReport",
-    "WhiskerSplit",
     "make_order",
     "verify_order",
     "find_order",
-    "dual_component_order",
     "has_dual_linear_quotients",
     "whisker_order",
-    "whisker_split",
     "search_stats",
     "reset_search_stats",
 ]
@@ -170,7 +167,7 @@ class QuotientOrder:
             names = list(data["vars"])
             ordered = data["ordered_gens"]
             colon = data["colon_vars"]
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad certificate JSON: {exc}") from None
         if len(names) != ambient:
             raise InputError("vars length does not match ambient")
@@ -180,6 +177,8 @@ class QuotientOrder:
             colon_sets = tuple(frozenset(index[v] for v in s) for s in colon)
         except KeyError as exc:
             raise InputError(f"unknown variable {exc} in certificate") from None
+        except TypeError as exc:
+            raise InputError(f"bad certificate JSON: {exc}") from None
         ideal = MonomialIdeal.from_generators(ambient, gens)
         if len(ideal.gens) != len(gens):
             raise InputError("certificate generators are not minimal or not distinct")
@@ -510,69 +509,8 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
     return DLQReport(G, per_degree, tuple(unknown), tuple(skipped))
 
 
-def dual_component_order(G: Graph, d: int, *, budget=None):
-    """Verified order for (dual of G)_[d], or None if that component has none."""
-    return _OrderSearch(G.adj, budget).quotient_order(G.n, (1 << G.n) - 1, d)
-
-
 # ---------------------------------------------------------------------------
 # the constructive whisker ordering
-
-
-@dataclass(frozen=True)
-class WhiskerSplit:
-    """Vertex-cover decomposition of a degree-d dual component at a whisker.
-
-    A covers avoid the tip; B covers avoid the whole whisker; the A covers
-    missing the base vertex are exactly D times the C covers, where D is the
-    base's other neighbors.
-    """
-
-    whisker: tuple
-    degree: int
-    A_list: tuple
-    B_list: tuple
-    D: frozenset
-    C_list: tuple
-
-    @property
-    def u(self) -> int:
-        return len(self.D)
-
-
-def _validate_whisker(K: Graph, whisker):
-    x, y = whisker
-    if not 0 <= x < K.n:
-        raise InputError(f"whisker tip {x} out of range")
-    deg = K.degree(x)
-    if deg > 1:
-        raise InputError(f"vertex {x} has degree {deg}; not a whisker tip")
-    if deg == 1:
-        nb = (K.adj[x]).bit_length() - 1
-        if y is None or nb != y:
-            raise InputError(f"whisker tip {x} is adjacent to {nb}, not {y}")
-    elif y is not None and not 0 <= y < K.n:
-        raise InputError(f"whisker base {y} out of range")
-    return x, y, deg
-
-
-def whisker_split(K: Graph, whisker, d: int) -> WhiskerSplit:
-    """The A/B/C/D data at a degree-one whisker tip (tests poke at this)."""
-    x, y, deg = _validate_whisker(K, whisker)
-    if deg != 1:
-        raise InputError("whisker_split needs a degree-one tip")
-    full = (1 << K.n) - 1
-    xbit, ybit = 1 << x, 1 << y
-    a_masks = _covers_by_size(K.adj, full ^ xbit).get(d - 1, [])
-    b_masks = _covers_by_size(K.adj, full ^ xbit ^ ybit).get(d - 1, [])
-    dmask = K.adj[y] & ~xbit
-    u = _popcount(dmask)
-    c_masks = []
-    if d - 1 - u >= 0:
-        c_masks = _covers_by_size(K.adj, (full ^ xbit ^ ybit) & ~dmask).get(d - 1 - u, [])
-    to_sets = lambda ms: tuple(frozenset(_bits(m)) for m in ms)
-    return WhiskerSplit((x, y), d, to_sets(a_masks), to_sets(b_masks),
-                        frozenset(_bits(dmask)), to_sets(c_masks))
 
 
 def whisker_order(K: Graph, whisker, d: int) -> QuotientOrder:
@@ -584,7 +522,18 @@ def whisker_order(K: Graph, whisker, d: int) -> QuotientOrder:
     decide with ``verify_order`` whether it certifies, and with a failing
     hypothesis it genuinely may not.
     """
-    x, _, _ = _validate_whisker(K, whisker)
+    x, y = whisker
+    if not 0 <= x < K.n:
+        raise InputError(f"whisker tip {x} out of range")
+    deg = K.degree(x)
+    if deg > 1:
+        raise InputError(f"vertex {x} has degree {deg}; not a whisker tip")
+    if deg == 1:
+        nb = K.adj[x].bit_length() - 1
+        if y is None or nb != y:
+            raise InputError(f"whisker tip {x} is adjacent to {nb}, not {y}")
+    elif y is not None and not 0 <= y < K.n:
+        raise InputError(f"whisker base {y} out of range")
     ctx = _OrderSearch(K.adj)
     full = (1 << K.n) - 1
     gens_d = ctx.gens(full, d)

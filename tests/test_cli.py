@@ -145,6 +145,81 @@ def test_verify_detects_flipped_unmixed_flag(capsys, tmp_path, c5, ex43):
         assert code == 1 and "unmixed flag does not match" in out
 
 
+def _c4_certificates(capsys, c4):
+    _, out, _ = run(capsys, "lin-quotients", c4, "--json")
+    report = json.loads(out)
+    assert report["per_degree"]["2"] is None
+    return report, report["per_degree"]["3"], report["per_degree"]["4"]
+
+
+# C4 is not SCM: its degree-2 dual component has no linear-quotients order,
+# and the degree-3 certificate must not stand in for it
+MISFILED = "verified: false (degree 2: certificate generators do not match the graph's dual component)\n"
+
+
+def test_verify_rejects_forged_verdict_with_misfiled_certificate(capsys, tmp_path, c4):
+    _, cert3, cert4 = _c4_certificates(capsys, c4)
+    _, out, _ = run(capsys, "is-scm", c4, "--json")
+    verdict = json.loads(out)
+    verdict["value"] = True
+    verdict["evidence"] = {"kind": "quotient-certificates",
+                           "per_degree": {"2": cert3, "3": cert3, "4": cert4}}
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(verdict))
+    assert run(capsys, "verify", c4, "--in", str(payload))[:2] == (1, MISFILED)
+
+
+def test_verify_rejects_forged_report_with_misfiled_certificate(capsys, tmp_path, c4):
+    report, cert3, _ = _c4_certificates(capsys, c4)
+    report["per_degree"]["2"] = cert3
+    report["verdict"] = True
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(report))
+    assert run(capsys, "verify", c4, "--in", str(payload))[:2] == (1, MISFILED)
+
+
+def test_verify_rejects_degrees_outside_or_twice(capsys, tmp_path, c4):
+    report, cert3, cert4 = _c4_certificates(capsys, c4)
+    payload = tmp_path / "payload.json"
+    for per, unknown in (({**report["per_degree"], "5": cert4}, []),
+                         (report["per_degree"], [3]),
+                         ({"02": None, **report["per_degree"]}, [])):
+        payload.write_text(json.dumps({**report, "per_degree": per, "unknown": unknown}))
+        code, out, _ = run(capsys, "verify", c4, "--in", str(payload))
+        assert code == 1 and "exactly once" in out
+
+
+@pytest.mark.parametrize("source, edit", [
+    pytest.param("lin-quotients", lambda d: {**d, "per_degree": {"x": None, **d["per_degree"]}},
+                 id="degree-key-x"),
+    pytest.param("lin-quotients", lambda d: {**d, "unknown": ["x"]}, id="unknown-x"),
+    pytest.param("is-scm", lambda d: {**d, "evidence": {k: v for k, v in d["evidence"].items()
+                                                        if k != "degree"}},
+                 id="witness-without-degree"),
+    pytest.param("is-scm", lambda d: {**d, "field": 2}, id="int-field"),
+    pytest.param("is-scm", lambda d: {**d, "evidence": []}, id="list-evidence"),
+    pytest.param("lin-quotients", lambda d: {**d["per_degree"]["3"], "ordered_gens": 5},
+                 id="certificate-int-gens"),
+    pytest.param("lin-quotients", lambda d: {**d["per_degree"]["3"], "ambient": "x"},
+                 id="certificate-ambient-x"),
+])
+def test_verify_malformed_payload_exits_2(capsys, tmp_path, c4, source, edit):
+    _, out, _ = run(capsys, source, c4, "--json")
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(edit(json.loads(out))))
+    code, out, err = run(capsys, "verify", c4, "--in", str(payload))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_holds_no_evidence_logic():
+    # evidence is re-checked by decide.check_evidence; the CLI only does I/O
+    import edgeideals.cli
+    for name in ("verify_order", "find_order", "squarefree_degree_component",
+                 "betti_at", "is_componentwise_linear"):
+        assert not hasattr(edgeideals.cli, name), name
+
+
 def test_lin_quotients_search_is_budgeted(capsys, tmp_path, c4, monkeypatch):
     import edgeideals.cli
     monkeypatch.setattr(edgeideals.cli, "DEFAULT_SEARCH_BUDGET", 0)
@@ -273,8 +348,8 @@ def test_verify_dlq_report_search_is_budgeted(capsys, tmp_path, monkeypatch):
     payload.write_text(out)
     code, out, _ = run(capsys, "verify", str(graph), "--in", str(payload))
     assert code == 0 and "verified: true" in out  # within the default budget
-    import edgeideals.cli
-    monkeypatch.setattr(edgeideals.cli, "DEFAULT_SEARCH_BUDGET", 100)
+    import edgeideals.decide
+    monkeypatch.setattr(edgeideals.decide, "DEFAULT_SEARCH_BUDGET", 100)
     code, out, err = run(capsys, "verify", str(graph), "--in", str(payload))
     assert code == 2 and out == "" and "exceeded 100 nodes" in err
 

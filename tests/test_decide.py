@@ -3,7 +3,8 @@ import random
 import pytest
 
 from edgeideals import (GF2, GF3, QQ, Graph, InputError, add_whiskers,
-                        alexander_dual_of_edge_ideal, betti_at, check_koszul_lift,
+                        alexander_dual_of_edge_ideal, betti_at, check_evidence,
+                        check_koszul_lift, has_dual_linear_quotients,
                         cycle_graph, delete_vertices, is_cm, is_chordal,
                         is_sequentially_cm, necessary_scm, path_graph,
                         squarefree_degree_component, sufficient_scm, verify_order)
@@ -288,3 +289,35 @@ def test_verdicts_invariant_under_search_budget():
         v0 = is_sequentially_cm(G, search_budget=0)
         v2 = is_sequentially_cm(G)
         assert v0.value == v2.value
+
+
+# ---------------------------------------------------------------------------
+# re-checking evidence
+
+
+def test_check_evidence_accepts_every_verdict_and_certificate():
+    rng = random.Random(41)
+    kinds = set()
+    for _ in range(30):
+        G = random_graph(rng, rng.randint(0, 6), rng.choice([0.3, 0.6]))
+        for decide in (is_sequentially_cm, is_cm):
+            for field, budget in ((GF2, 20_000), (GF3, 0), (QQ, 20_000)):
+                v = decide(G, field, search_budget=budget)
+                kinds.add(v.evidence.kind)
+                assert check_evidence(G, v.to_json(G.labels)) == (True, "verdict verified")
+        for q in has_dual_linear_quotients(G).certificates().values():
+            assert check_evidence(G, q.to_json(G.labels)) == (True, "linear quotients verified")
+    assert kinds == {"zero-ideal-convention", "quotient-certificates",
+                     "componentwise-scan", "betti-witness"}
+
+
+def test_check_evidence_ties_each_certificate_to_its_key():
+    G = cycle_graph(5)
+    certs = has_dual_linear_quotients(G).certificates()
+    data = is_sequentially_cm(G).to_json(G.labels)
+    data["evidence"]["per_degree"]["3"], data["evidence"]["per_degree"]["4"] = (
+        certs[4].to_json(G.labels), certs[3].to_json(G.labels))
+    ok, why = check_evidence(G, data)
+    assert not ok and why.startswith("degree 3:")
+    with pytest.raises(InputError):
+        check_evidence(G, [data])

@@ -8,6 +8,8 @@ from edgeideals import (Graph, InputError, RemainderClass, add_whiskers,
                         minimal_vertex_covers, parse_graph, path_graph,
                         vertex_covers_of_size)
 
+from edgeideals.graphs import _covers_by_size, _key, _minimal_cover_masks
+
 from oracles import brute_covers, brute_minimal_covers
 
 
@@ -232,6 +234,20 @@ def test_minimal_covers_match_oracle_and_exclude_isolated():
         for a in got:
             for b in got:
                 assert a == b or not a < b
+
+
+def test_cover_enumeration_is_canonical_without_sorting():
+    # _covers_by_size and _minimal_cover_masks rely on the enumeration order
+    # of _independent_sets; the reference sort lives here
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        G = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6]))
+        active = rng.getrandbits(n) | 1 << rng.randrange(n)
+        for size, masks in _covers_by_size(G.adj, active).items():
+            assert masks == sorted(masks, key=_key), (G, active, size)
+        minimal = _minimal_cover_masks(G.adj, active)
+        assert minimal == sorted(minimal, key=lambda m: (bin(m).count("1"), _key(m)))
 
 
 def test_every_cover_contains_a_minimal_cover():

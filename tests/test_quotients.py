@@ -8,7 +8,7 @@ from edgeideals import (Graph, InputError, Monomial, MonomialIdeal,
                         has_dual_linear_quotients, induced_subgraph,
                         has_linear_resolution, is_chordal, make_order,
                         squarefree_degree_component, verify_order,
-                        whisker_order, whisker_split)
+                        whisker_order)
 from edgeideals.graphs import _bits, _mask_of
 from edgeideals.quotients import _colon_walk, _step_linear, reset_search_stats, search_stats
 
@@ -382,8 +382,12 @@ def test_search_takes_the_whisker_order_where_the_canonical_order_fails():
     assert checked >= 40
 
 
-def test_whisker_split_bijection():
+def test_whisker_order_assembles_every_component():
+    # _whisker_seq raises unless the y*B, x*D*C and x*(A covers containing
+    # y) blocks assemble exactly the component, so a permutation means the
+    # decomposition at the tip is a bijection onto the component's covers
     rng = random.Random(59)
+    checked = 0
     for _ in range(25):
         G = random_graph(rng, rng.randint(1, 5), 0.5)
         S = [v for v in range(G.n) if rng.random() < 0.5]
@@ -391,16 +395,15 @@ def test_whisker_split_bijection():
         if not wm.pairs:
             continue
         y, x = wm.pairs[-1]
+        dual = alexander_dual_of_edge_ideal(W)
         for d in range(W.n + 1):
-            split = whisker_split(W, (x, y), d)
-            nondiv = {a for a in split.A_list if y not in a}
-            assert nondiv == {c | split.D for c in split.C_list}
-            for a in split.A_list:
-                assert len(a) == d - 1
-            for b in split.B_list:
-                assert len(b) == d - 1
-            for c in split.C_list:
-                assert len(c) == d - 1 - split.u
+            if squarefree_degree_component(dual, d).is_zero:
+                continue
+            q = whisker_order(W, (x, y), d)
+            assert sorted(q.order) == list(range(len(q.ideal.gens)))
+            assert q.ideal == squarefree_degree_component(dual, d)
+            checked += 1
+    assert checked >= 60
 
 
 def test_subgraph_induction_claim_desk_scale():
