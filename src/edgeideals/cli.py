@@ -142,18 +142,10 @@ def _cmd_lin_quotients(args) -> int:
             lines.append(f"degree {d}: no linear-quotients order exists")
         else:
             sizes = ",".join(str(s) for s in q.step_sizes())
-            lines.append(f"degree {d}: certified ({len(q.order)} generators; colon sizes {sizes})")
+            lines.append(f"degree {d}: certified ({len(q.gens)} generators; colon sizes {sizes})")
     verdict = report.verdict
     lines.append(f"dual linear quotients: {str(verdict).lower()}")
-    payload = {
-        "kind": "dlq-report",
-        "verdict": verdict,
-        "per_degree": {str(d): (q.to_json(G.labels) if q is not None else None)
-                       for d, q in report.per_degree.items()},
-        "unknown": list(report.unknown),
-        "skipped": list(report.skipped),
-    }
-    _emit(args, payload, "\n".join(lines) + "\n")
+    _emit(args, report.to_json(G.labels), "\n".join(lines) + "\n")
     return 0 if verdict is True else 1
 
 

@@ -381,7 +381,7 @@ def minimal_vertex_covers(G: Graph) -> list:
 
 
 def is_unmixed(G: Graph) -> bool:
-    sizes = {len(c) for c in minimal_vertex_covers(G)}
+    sizes = {m.bit_count() for m in _minimal_cover_masks(G.adj, (1 << G.n) - 1)}
     return len(sizes) <= 1
 
 

@@ -420,17 +420,15 @@ def betti_from_quotient_order(Q: QuotientOrder) -> BettiTable:
     """
     if not verify_order(Q):
         raise InputError("certificate does not verify")
-    if not Q.ideal.is_equigenerated:
+    d = Q.degree
+    if d is None and Q.gens:
         raise InputError("Betti oracle needs an equigenerated ideal")
     totals = {}
-    if Q.ideal.is_zero:
-        return BettiTable(Q.ideal.ambient, totals)
-    d = Q.ideal.min_degree
     for rj in Q.step_sizes():
         for i in range(rj + 1):
             key = (i, d + i)
             totals[key] = totals.get(key, 0) + comb(rj, i)
-    return BettiTable(Q.ideal.ambient, totals)
+    return BettiTable(Q.ambient, totals)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import Graph, minimal_vertex_covers, _bits, _mask_of
+from .graphs import Graph, _bits, _mask_of, _minimal_cover_masks
 
 __all__ = [
     "Monomial",
@@ -242,10 +242,11 @@ def alexander_dual_of_edge_ideal(G: Graph) -> MonomialIdeal:
     """Generators are the minimal vertex covers of G.
 
     For an edgeless graph the empty set is the unique minimal cover, so the
-    dual is the unit ideal.
+    dual is the unit ideal.  The cover masks come out minimal, distinct and
+    canonically ordered, so they are wrapped as they are.
     """
-    gens = [Monomial(c) for c in minimal_vertex_covers(G)]
-    return MonomialIdeal.from_generators(G.n, gens)
+    masks = _minimal_cover_masks(G.adj, (1 << G.n) - 1)
+    return MonomialIdeal._from_canonical(G.n, [Monomial.from_mask(m) for m in masks])
 
 
 def squarefree_degree_component(I: MonomialIdeal, d: int) -> MonomialIdeal:

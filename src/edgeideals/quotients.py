@@ -1,11 +1,13 @@
 """Linear-quotients certificates for square-free monomial ideals.
 
-A certificate is an ordering of the generators together with, for each
-position, the set of variables generating the colon ideal of the prefix.
-Certificates are checkable in O(r*n) big-int operations (one pass over the
-sequence with a bitset of generator positions per variable), so every
-order found here -- whether by exact search or by the constructive whisker
-recursion -- is verified before it is trusted.
+A certificate is a sequence of generator masks with one colon mask per
+step: the variables generating the colon ideal of the prefix by that
+generator.  Certificates are checkable in O(r*n) big-int operations (one
+pass over the sequence with a bitset of generator positions per variable),
+so every order found here -- whether by exact search or by the constructive
+whisker recursion -- is verified before it is trusted.  ``Monomial`` and
+``MonomialIdeal`` objects appear only in the derived views and at the JSON
+boundary.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ search_stats = {
 def reset_search_stats():
     for k in search_stats:
         search_stats[k] = 0
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 def _step_linear(prefix_masks, u: int):
@@ -129,35 +127,50 @@ def _colon_walk(masks, stop_at_failure=False):
 
 @dataclass(frozen=True)
 class QuotientOrder:
-    """Ordering of an ideal's generators with per-step colon variables.
+    """Generator masks in sequence order with the colon mask of each step.
 
-    Instances are plain data; ``verify_order`` is the gate that decides
-    whether the order actually has linear quotients.
+    ``gens[i]`` is the support of the i-th generator and ``colon[i]`` the
+    variables generating the colon ideal of ``gens[:i]`` by it, all as
+    bitmasks over ``ambient`` variables.  Instances are plain data;
+    ``verify_order`` is the gate that decides whether the sequence actually
+    has linear quotients.
     """
 
-    ideal: MonomialIdeal
-    order: tuple
-    colon_vars: tuple
+    ambient: int
+    gens: tuple
+    colon: tuple
+
+    @property
+    def ideal(self) -> MonomialIdeal:
+        """The ideal the sequence generates, in canonical order."""
+        return MonomialIdeal.from_generators(self.ambient, self.ordered_gens())
+
+    @property
+    def colon_vars(self) -> tuple:
+        return tuple(frozenset(_bits(m)) for m in self.colon)
 
     def ordered_gens(self):
-        return [self.ideal.gens[i] for i in self.order]
+        return [Monomial.from_mask(m) for m in self.gens]
 
     @property
     def degree(self):
-        return self.ideal.min_degree if self.ideal.is_equigenerated else None
+        """The generators' common degree; None when they differ or there
+        are none."""
+        degrees = {m.bit_count() for m in self.gens}
+        return degrees.pop() if len(degrees) == 1 else None
 
     def step_sizes(self) -> list:
         """|colon_vars| per position: the r_j feeding the Betti oracle."""
-        return [len(s) for s in self.colon_vars]
+        return [m.bit_count() for m in self.colon]
 
     def to_json(self, labels=None) -> dict:
         if labels is None:
-            labels = [f"x{i + 1}" for i in range(self.ideal.ambient)]
+            labels = [f"x{i + 1}" for i in range(self.ambient)]
         return {
-            "ambient": self.ideal.ambient,
+            "ambient": self.ambient,
             "vars": list(labels),
-            "ordered_gens": [g.names(labels) for g in self.ordered_gens()],
-            "colon_vars": [[labels[v] for v in sorted(s)] for s in self.colon_vars],
+            "ordered_gens": [[labels[v] for v in _bits(m)] for m in self.gens],
+            "colon_vars": [[labels[v] for v in _bits(m)] for m in self.colon],
         }
 
     @classmethod
@@ -173,20 +186,19 @@ class QuotientOrder:
             raise InputError("vars length does not match ambient")
         index = {name: i for i, name in enumerate(names)}
         try:
-            gens = [Monomial(index[v] for v in g) for g in ordered]
-            colon_sets = tuple(frozenset(index[v] for v in s) for s in colon)
+            gens = tuple(_mask_of(index[v] for v in g) for g in ordered)
+            colon = tuple(_mask_of(index[v] for v in s) for s in colon)
         except KeyError as exc:
             raise InputError(f"unknown variable {exc} in certificate") from None
         except TypeError as exc:
             raise InputError(f"bad certificate JSON: {exc}") from None
-        ideal = MonomialIdeal.from_generators(ambient, gens)
-        if len(ideal.gens) != len(gens):
+        q = cls(ambient, gens, colon)
+        # distinct square-free monomials of one degree never divide each other
+        if len(set(gens)) != len(gens) or (q.degree is None and len(q.ideal.gens) != len(gens)):
             raise InputError("certificate generators are not minimal or not distinct")
-        pos = {g.mask: i for i, g in enumerate(ideal.gens)}
-        order = tuple(pos[g.mask] for g in gens)
-        if len(colon_sets) != len(gens):
+        if len(colon) != len(gens):
             raise InputError("colon variable list length mismatch")
-        return cls(ideal, order, colon_sets)
+        return q
 
 
 def make_order(ideal: MonomialIdeal, order) -> QuotientOrder:
@@ -194,31 +206,26 @@ def make_order(ideal: MonomialIdeal, order) -> QuotientOrder:
     order = tuple(order)
     if sorted(order) != list(range(len(ideal.gens))):
         raise InputError("order is not a permutation of the generators")
-    colon, _ = _colon_walk([ideal.gens[i].mask for i in order])
-    return QuotientOrder(ideal, order, tuple(frozenset(_bits(m)) for m in colon))
+    return _order_from_masks(ideal.ambient, [ideal.gens[i].mask for i in order])
 
 
 def verify_order(q: QuotientOrder) -> bool:
     """Recompute every prefix colon and compare against the certificate."""
-    r = len(q.ideal.gens)
-    if sorted(q.order) != list(range(r)):
-        raise InputError("order is not a permutation of the generators")
-    if len(q.colon_vars) != r:
+    r = len(q.gens)
+    if len(set(q.gens)) != r:
+        raise InputError("repeated generator in the order")
+    if len(q.colon) != r:
         raise InputError("colon variable list length mismatch")
-    for s in q.colon_vars:
-        for v in s:
-            if not 0 <= v < q.ideal.ambient:
-                raise InputError(f"colon variable {v} outside ambient")
-    if r == 0:
-        return True
-    masks = [q.ideal.gens[i].mask for i in q.order]
-    degs = [_popcount(m) for m in masks]
+    outside = ~((1 << q.ambient) - 1)
+    if any(m & outside for m in q.gens):
+        raise InputError("generator outside ambient variables")
+    if any(m & outside for m in q.colon):
+        raise InputError("colon variable outside ambient")
+    degs = [m.bit_count() for m in q.gens]
     if any(degs[i] > degs[i + 1] for i in range(r - 1)):
         return False
-    colon, failed = _colon_walk(masks, stop_at_failure=True)
-    if failed:
-        return False
-    return all(_mask_of(s) == m for s, m in zip(q.colon_vars, colon))
+    colon, failed = _colon_walk(q.gens, stop_at_failure=True)
+    return not failed and colon == list(q.colon)
 
 
 # ---------------------------------------------------------------------------
@@ -274,23 +281,16 @@ def _search_masks(masks, spend=None):
             nexts.pop()
 
 
-def _order_from_masks(ambient: int, ordered_masks, canonical, colon=None) -> QuotientOrder:
-    """QuotientOrder for a sequence of one component's generator masks.
+def _order_from_masks(ambient: int, ordered, colon=None) -> QuotientOrder:
+    """QuotientOrder for a sequence of generator masks.
 
-    ``canonical`` lists the same masks in canonical generator order, as
-    ``_covers_by_size`` and ``MonomialIdeal.gen_masks`` return them;
     ``colon`` holds the sequence's colon-variable masks when a walk already
     computed them, and is derived here otherwise.
     """
-    ideal = MonomialIdeal._from_canonical(ambient, [Monomial.from_mask(m) for m in canonical])
-    if ordered_masks == canonical:
-        order = tuple(range(len(canonical)))
-    else:
-        pos = {g.mask: i for i, g in enumerate(ideal.gens)}
-        order = tuple(pos[m] for m in ordered_masks)
+    ordered = tuple(ordered)
     if colon is None:
-        colon, _ = _colon_walk(list(ordered_masks))
-    return QuotientOrder(ideal, order, tuple(frozenset(_bits(m)) for m in colon))
+        colon, _ = _colon_walk(ordered)
+    return QuotientOrder(ambient, ordered, tuple(colon))
 
 
 def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
@@ -306,13 +306,12 @@ def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
         colon, failed = _colon_walk(masks, stop_at_failure=True)
         if not failed:
             search_stats["identity"] += 1
-            return QuotientOrder(I, tuple(range(len(masks))),
-                                 tuple(frozenset(_bits(m)) for m in colon))
+            return _order_from_masks(I.ambient, masks, colon)
     spend = _budget_counter(budget) if budget is not None else None
     found = _search_masks(masks, spend)
     if found is None:
         return None
-    return _order_from_masks(I.ambient, found, masks)
+    return _order_from_masks(I.ambient, found)
 
 
 def _budget_counter(budget: int):
@@ -371,8 +370,7 @@ class _OrderSearch:
         ordered = self.order(active, d)
         if ordered is None:
             return None
-        return _order_from_masks(ambient, ordered, self.gens(active, d),
-                                 self._colon.get((active, d)))
+        return _order_from_masks(ambient, ordered, self._colon.get((active, d)))
 
     def _linear(self, key, seq) -> bool:
         """Walk seq once; keep its colon masks under key when it is linear."""
@@ -436,7 +434,7 @@ def _whisker_seq(ctx, active: int, x: int, d: int, block):
         if b_block is None:
             return None
         dmask = ctx.adj[ybit.bit_length() - 1] & rest
-        c_block = block(rest & ~dmask, d - 1 - _popcount(dmask))
+        c_block = block(rest & ~dmask, d - 1 - dmask.bit_count())
         if c_block is None:
             return None
         div = [m for m in ctx.gens(active ^ xbit, d - 1) if m & ybit]
@@ -475,6 +473,17 @@ class DLQReport:
 
     def certificates(self) -> dict:
         return {d: q for d, q in self.per_degree.items() if q is not None}
+
+    def to_json(self, labels=None) -> dict:
+        """The dlq-report payload that ``decide.check_evidence`` reads."""
+        return {
+            "kind": "dlq-report",
+            "verdict": self.verdict,
+            "per_degree": {str(d): (q.to_json(labels) if q is not None else None)
+                           for d, q in self.per_degree.items()},
+            "unknown": list(self.unknown),
+            "skipped": list(self.skipped),
+        }
 
 
 def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -> DLQReport:
@@ -536,12 +545,11 @@ def whisker_order(K: Graph, whisker, d: int) -> QuotientOrder:
         raise InputError(f"whisker base {y} out of range")
     ctx = _OrderSearch(K.adj)
     full = (1 << K.n) - 1
-    gens_d = ctx.gens(full, d)
-    if not gens_d:
+    if not ctx.gens(full, d):
         raise InputError(f"the degree-{d} dual component is zero")
 
     def block(mask: int, dd: int):
         got = ctx.order(mask, dd)
         return ctx.gens(mask, dd) if got is None else got
 
-    return _order_from_masks(K.n, _whisker_seq(ctx, full, x, d, block), gens_d)
+    return _order_from_masks(K.n, _whisker_seq(ctx, full, x, d, block))

@@ -321,3 +321,23 @@ def test_check_evidence_ties_each_certificate_to_its_key():
     assert not ok and why.startswith("degree 3:")
     with pytest.raises(InputError):
         check_evidence(G, [data])
+
+
+def test_check_evidence_accepts_every_dlq_report():
+    rng = random.Random(43)
+    graphs = [cycle_graph(4), Graph(0), Graph(3)]
+    graphs += [random_graph(rng, rng.randint(1, 7), rng.choice([0.3, 0.6])) for _ in range(30)]
+    verdicts = set()
+    for G in graphs:
+        for budget in (20_000, 0):
+            for stop in (False, True):
+                report = has_dual_linear_quotients(G, budget=budget, stop_at_failure=stop)
+                verdicts.add(report.verdict)
+                data = report.to_json(G.labels)
+                assert check_evidence(G, data) == (True, "report verified")
+    # C4's degree-2 component has no order: a null entry within the budget,
+    # an unknown degree with none
+    C4 = cycle_graph(4)
+    assert has_dual_linear_quotients(C4, budget=20_000).to_json()["per_degree"]["2"] is None
+    assert has_dual_linear_quotients(C4, budget=0).to_json()["unknown"] == [2]
+    assert verdicts == {True, False, None}

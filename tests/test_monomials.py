@@ -72,6 +72,22 @@ def test_dual_of_edgeless_is_unit():
     assert alexander_dual_of_edge_ideal(Graph(3)).is_unit
 
 
+def test_dual_passes_the_checking_constructor():
+    # the dual wraps the cover masks without the constructor's checks: they
+    # must already be in ambient, canonical, distinct and minimal
+    rng = random.Random(5)
+    graphs = [Graph(0), Graph(4)]
+    graphs += [random_graph(rng, rng.randint(1, 10), rng.choice([0.2, 0.4, 0.7]))
+               for _ in range(60)]
+    mixed = 0
+    for G in graphs:
+        dual = alexander_dual_of_edge_ideal(G)
+        assert MonomialIdeal(G.n, dual.gens) == dual
+        assert dual == MonomialIdeal.from_generators(G.n, dual.gens)
+        mixed += not dual.is_equigenerated
+    assert mixed >= 15
+
+
 def test_dual_involution_via_hitting_sets():
     rng = random.Random(3)
     for _ in range(25):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from edgeideals import (Graph, InputError, Monomial, MonomialIdeal,
+from edgeideals import (Graph, InputError, Monomial, MonomialIdeal, QuotientOrder,
                         add_whiskers, alexander_dual_of_edge_ideal, cycle_graph,
                         delete_vertices, find_order,
                         has_dual_linear_quotients, induced_subgraph,
@@ -58,10 +58,18 @@ def test_disjoint_supports_fail_either_order():
 def test_verify_rejects_malformed():
     I = MonomialIdeal.from_generators(4, [M([0, 2]), M([1, 3])])
     q = make_order(I, [0, 1])
-    with pytest.raises(InputError):
-        verify_order(type(q)(I, (0, 0), q.colon_vars))
-    with pytest.raises(InputError):
-        verify_order(type(q)(I, (0, 1), (frozenset(),)))
+    assert q == QuotientOrder(4, (0b0101, 0b1010), (0, 0))
+    a, b = q.gens
+    malformed = [
+        QuotientOrder(4, (a, a), q.colon),            # repeated generator
+        QuotientOrder(4, (a, b), (0,)),               # colon list too short
+        QuotientOrder(4, (a, b), (0, 0, 0)),          # colon list too long
+        QuotientOrder(4, (a, b), (0, 1 << 4)),        # colon mask outside ambient
+        QuotientOrder(4, (a, b | 1 << 4), (0, 0)),    # generator outside ambient
+    ]
+    for bad in malformed:
+        with pytest.raises(InputError):
+            verify_order(bad)
 
 
 def test_degree_sorted_requirement():
@@ -146,17 +154,50 @@ def test_identity_certificates_equal_make_order():
     for G in _walk_cases(rng):
         dual = alexander_dual_of_edge_ideal(G)
         for d, q in has_dual_linear_quotients(G).certificates().items():
-            # the certificate's ideal is wrapped without the constructor's
-            # checks; the checking constructor and the component built from
-            # the dual must both agree with it
+            # the certificate's generators, read as an ideal, must pass the
+            # checking constructor and equal the component built from the dual
             assert MonomialIdeal(q.ideal.ambient, q.ideal.gens) == q.ideal
             assert squarefree_degree_component(dual, d) == q.ideal
-            r = len(q.order)
-            if q.order == tuple(range(r)):
+            r = len(q.gens)
+            if list(q.gens) == q.ideal.gen_masks():
                 assert q == make_order(q.ideal, range(r))
                 assert verify_order(q)
                 identity += 1
     assert identity >= 40
+
+
+def test_certificates_round_trip_through_json():
+    rng = random.Random(83)
+    checked = 0
+    for G in _walk_cases(rng):
+        report = has_dual_linear_quotients(G, budget=20_000)
+        for q in report.certificates().values():
+            assert QuotientOrder.from_json(q.to_json(G.labels)) == q
+            checked += 1
+        # the whole dual mixes degrees when G is not unmixed, which takes
+        # from_json through its minimality check
+        dual = alexander_dual_of_edge_ideal(G)
+        q = make_order(dual, range(len(dual.gens)))
+        assert QuotientOrder.from_json(q.to_json(G.labels)) == q
+    assert checked >= 100
+
+
+def test_from_json_rejections():
+    good = {"ambient": 3, "vars": ["a", "b", "c"],
+            "ordered_gens": [["a"], ["b", "c"]], "colon_vars": [[], ["a"]]}
+    assert QuotientOrder.from_json(good) == QuotientOrder(3, (0b001, 0b110), (0, 0b001))
+    cases = {
+        "repeated": ({"ordered_gens": [["a", "b"], ["b", "a"]]}, "not minimal or not distinct"),
+        "not minimal": ({"ordered_gens": [["a"], ["a", "c"]]}, "not minimal or not distinct"),
+        "colon length": ({"colon_vars": [[]]}, "colon variable list length mismatch"),
+        "unknown name": ({"colon_vars": [[], ["d"]]}, "unknown variable 'd'"),
+        "vars length": ({"vars": ["a", "b"]}, "vars length does not match ambient"),
+        "bad ambient": ({"ambient": "three"}, "bad certificate JSON"),
+        "not a list": ({"ordered_gens": [["a"], 5]}, "bad certificate JSON"),
+    }
+    for what, (edit, message) in cases.items():
+        with pytest.raises(InputError, match=message):
+            QuotientOrder.from_json({**good, **edit})
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +241,7 @@ def test_find_order_deterministic():
         b = find_order(comp)
         assert (a is None) == (b is None)
         if a is not None:
-            assert a.order == b.order
+            assert a.gens == b.gens
 
 
 def test_find_order_matches_permutation_oracle():
@@ -266,8 +307,8 @@ def test_dlq_reports_are_deterministic():
     G = cycle_graph(5)
     a = has_dual_linear_quotients(G)
     b = has_dual_linear_quotients(G)
-    assert {d: q.order for d, q in a.certificates().items()} == \
-        {d: q.order for d, q in b.certificates().items()}
+    assert {d: q.gens for d, q in a.certificates().items()} == \
+        {d: q.gens for d, q in b.certificates().items()}
 
 
 def test_dlq_implies_linear_resolution():
@@ -397,11 +438,13 @@ def test_whisker_order_assembles_every_component():
         y, x = wm.pairs[-1]
         dual = alexander_dual_of_edge_ideal(W)
         for d in range(W.n + 1):
-            if squarefree_degree_component(dual, d).is_zero:
+            comp = squarefree_degree_component(dual, d)
+            if comp.is_zero:
                 continue
             q = whisker_order(W, (x, y), d)
-            assert sorted(q.order) == list(range(len(q.ideal.gens)))
-            assert q.ideal == squarefree_degree_component(dual, d)
+            assert len(set(q.gens)) == len(q.gens) == len(comp.gens)
+            assert set(q.gens) == set(comp.gen_masks())
+            assert q.ideal == comp
             checked += 1
     assert checked >= 60
 
