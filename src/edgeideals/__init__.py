@@ -12,10 +12,10 @@ from .monomials import (Monomial, MonomialIdeal, minimalize, edge_ideal,
                         alexander_dual_of_edge_ideal, squarefree_degree_component,
                         colon_by_monomial)
 from .quotients import (QuotientOrder, DLQReport, make_order, verify_order, find_order,
-                        has_dual_linear_quotients, whisker_order)
+                        has_dual_linear_quotients, whisker_order, betti_from_quotient_order)
 from .homology import (FieldSpec, GF2, GF3, QQ, SimplicialComplex, BettiTable,
                        CWLReport, upper_koszul_complex, reduced_homology_ranks,
-                       betti_numbers, betti_at, betti_from_quotient_order,
+                       betti_numbers, betti_at,
                        has_linear_resolution, nonlinear_witness, is_componentwise_linear)
 from .decide import (Verdict, SyzygyWitness, TheoremHit, is_sequentially_cm, is_cm,
                      sufficient_scm, necessary_scm, check_koszul_lift, check_evidence)

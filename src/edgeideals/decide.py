@@ -3,8 +3,11 @@
 The fast path hunts for dual linear-quotients certificates, which decide
 the question independently of the field; the fallback computes
 componentwise linearity of the dual homologically over a declared field.
-Every verdict carries evidence that ``check_evidence`` re-checks without
-trusting the path that produced it.
+Each dual component is tried in its canonical order, then along the
+whisker decomposition, then by an exact search that at its first backtrack
+looks for a GF(2) Betti witness (which rules every order out) before it
+resumes.  Every verdict carries evidence that ``check_evidence`` re-checks
+without trusting the path that produced it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from .graphs import (Graph, add_whiskers, delete_vertices, is_unmixed,
                      classify_remainder, RemainderClass, _bits)
 from .monomials import Monomial, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
-from .homology import (FieldSpec, GF2, betti_at, is_componentwise_linear,
+from .homology import (BettiWitness, FieldSpec, GF2, betti_at, is_componentwise_linear,
                        upper_koszul_complex)
 
 __all__ = [
@@ -66,27 +69,6 @@ class QuotientCertificates:
         return {
             "kind": self.kind,
             "per_degree": {str(d): q.to_json(labels) for d, q in sorted(self.per_degree.items())},
-        }
-
-
-@dataclass(frozen=True)
-class BettiWitness:
-    """Nonlinear syzygy: beta_{index, multidegree} of the degree-`degree`
-    dual component is nonzero with |multidegree| != degree + index."""
-
-    degree: int
-    index: int
-    multidegree: frozenset
-
-    kind = "betti-witness"
-
-    def to_json(self, labels=None) -> dict:
-        b = sorted(self.multidegree)
-        return {
-            "kind": self.kind,
-            "degree": self.degree,
-            "index": self.index,
-            "multidegree": [labels[v] for v in b] if labels else b,
         }
 
 
@@ -163,9 +145,13 @@ def is_sequentially_cm(G: Graph, field: FieldSpec = GF2, *,
     cwl = is_componentwise_linear(alexander_dual_of_edge_ideal(G), field)
     if cwl.verdict:
         if report.verdict is False:
-            notes = notes + ("componentwise linear without dual linear quotients: "
-                             "logging as a candidate for the open small-graph gap",)
-            log.warning("graph %r is componentwise linear but lacks dual linear quotients", G)
+            d = report.failing_degree
+            why = (f"degree {d} has a nonlinear Betti number over GF(2), so the verdict "
+                   f"depends on the field" if d in report.witnesses else
+                   f"degree {d} has a linear resolution but no linear-quotients order")
+            notes = notes + (f"componentwise linear without dual linear quotients: {why}",)
+            log.info("%d-vertex graph: componentwise linear over field %s without dual "
+                     "linear quotients; %s", G.n, field, why)
         return Verdict("SCM", True, field, ComponentwiseScan(dict(cwl.per_degree)), notes=notes)
     d, i, b = cwl.witness
     return Verdict("SCM", False, field, BettiWitness(d, i, b), notes=notes)
@@ -331,17 +317,42 @@ def _check_certificate(G: Graph, dual, data, d=None):
     return ok, "linear quotients verified" if ok else "colon steps do not verify"
 
 
+def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
+    """Why a betti-witness payload fails to re-check, or None when its
+    Betti number, recomputed with ``betti_at`` over ``field``, is nonzero
+    off the linear strand.  ``key`` is the degree it is filed under, if any.
+    """
+    d = _int(ev.get("degree"), "witness degree")
+    i = _int(ev.get("index"), "witness index")
+    index = {name: v for v, name in enumerate(G.labels)}
+    names = ev.get("multidegree")
+    try:
+        b = frozenset(index[name] for name in names)
+    except (KeyError, TypeError):
+        raise InputError(f"bad witness multidegree {names!r}") from None
+    if key is not None and d != key:
+        return f"witness of degree {d} filed under degree {key}"
+    if len(b) == d + i:
+        return "witness multidegree lies on the linear strand"
+    if betti_at(squarefree_degree_component(dual, d), Monomial(b), i, field) == 0:
+        return "witness Betti number vanishes on re-computation"
+    return None
+
+
 def _check_per_degree(G: Graph, dual, per, undecided=()):
-    """Re-check a map from degree keys to certificates or null.
+    """Re-check a map from degree keys to certificates, witnesses or null.
 
     The keys and the ``undecided`` degrees (unknown or skipped) must name
     every degree dmin..n of the dual exactly once.  A certificate must
-    order the component of its own key's degree.  A null entry claims that
-    component has no order, which a search within ``DEFAULT_SEARCH_BUDGET``
-    nodes must confirm; an overrun raises SearchBudgetExceeded.  Returns
-    (reason, verdict): the first failure or None, and the dual-linear-
-    quotients verdict the evidence supports (False with a confirmed null,
-    else None with an undecided degree, else True).
+    order the component of its own key's degree.  A betti-witness entry
+    claims that component has no order, and must re-check over GF(2): a
+    nonlinear Betti number over any field rules out linear quotients.  A
+    null entry claims the same, which a search within
+    ``DEFAULT_SEARCH_BUDGET`` nodes must confirm; an overrun raises
+    SearchBudgetExceeded.  Returns (reason, verdict): the first failure or
+    None, and the dual-linear-quotients verdict the evidence supports
+    (False with a confirmed witness or null, else None with an undecided
+    degree, else True).
     """
     entries = sorted(((_int(k, "degree"), v) for k, v in _object(per, "per_degree").items()),
                      key=lambda e: e[0])
@@ -355,6 +366,11 @@ def _check_per_degree(G: Graph, dual, per, undecided=()):
             if find_order(squarefree_degree_component(dual, d),
                           budget=DEFAULT_SEARCH_BUDGET) is not None:
                 return f"degree {d} claimed impossible but an order exists", None
+            impossible = True
+        elif _object(cert, "degree entry").get("kind") == BettiWitness.kind:
+            why = _check_betti_witness(G, dual, cert, GF2, d)
+            if why:
+                return f"degree {d}: {why}", None
             impossible = True
         else:
             ok, why = _check_certificate(G, dual, cert, d)
@@ -403,20 +419,10 @@ def _check_verdict(G: Graph, dual, data):
             return False, why
         if not dlq:
             return False, "quotient-certificates evidence with a degree that has no order"
-    elif kind == "betti-witness":
-        d = _int(ev.get("degree"), "witness degree")
-        i = _int(ev.get("index"), "witness index")
-        index = {name: v for v, name in enumerate(G.labels)}
-        names = ev.get("multidegree")
-        try:
-            b = frozenset(index[name] for name in names)
-        except (KeyError, TypeError):
-            raise InputError(f"bad witness multidegree {names!r}") from None
-        if len(b) == d + i:
-            return False, "witness multidegree lies on the linear strand"
-        comp = squarefree_degree_component(dual, d)
-        if betti_at(comp, Monomial(b), i, field) == 0:
-            return False, "witness Betti number vanishes on re-computation"
+    elif kind == BettiWitness.kind:
+        why = _check_betti_witness(G, dual, ev, field)
+        if why:
+            return False, why
     elif kind == "componentwise-scan":
         if not is_componentwise_linear(dual, field).verdict:
             return False, "componentwise-scan evidence but the dual is not componentwise linear"
@@ -434,8 +440,9 @@ def check_evidence(G: Graph, data) -> tuple:
 
     ``data`` is the JSON of a ``Verdict``, of a dlq-report (as
     ``lin-quotients --json`` prints it) or of one ``QuotientOrder``.
-    Returns (ok, reason).  A malformed payload raises InputError.
-    Re-searching a degree claimed to have no order raises
+    Returns (ok, reason).  A malformed payload raises InputError.  A
+    degree claimed to have no order is re-checked through its GF(2) Betti
+    witness when it carries one; re-searching a plain null raises
     SearchBudgetExceeded past ``DEFAULT_SEARCH_BUDGET`` nodes.
     """
     data = _object(data, "payload")

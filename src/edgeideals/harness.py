@@ -17,10 +17,11 @@ from .graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
                      cycle_graph, delete_vertices, format_graph, induced_subgraph,
                      is_chordal, path_graph, _bits)
 from .monomials import MonomialIdeal, alexander_dual_of_edge_ideal, squarefree_degree_component
-from .quotients import has_dual_linear_quotients, make_order, verify_order, search_stats
-from .homology import GF2, QQ, betti_numbers, betti_from_quotient_order
-from .decide import (check_koszul_lift, is_cm, is_sequentially_cm, necessary_scm,
-                     sufficient_scm)
+from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, make_order,
+                        verify_order, search_stats)
+from .homology import GF2, GF3, QQ, betti_numbers
+from .decide import (DEFAULT_SEARCH_BUDGET, check_koszul_lift, is_cm, is_sequentially_cm,
+                     necessary_scm, sufficient_scm)
 
 __all__ = [
     "Campaign",
@@ -35,6 +36,7 @@ __all__ = [
     "ex38_pair",
     "ex39_pair",
     "ex43_pair",
+    "rp2_sd",
 ]
 
 ATTEMPT_CAP = 1000
@@ -59,7 +61,7 @@ CLAIM_STATEMENTS = {
             "whiskers to a sequentially Cohen-Macaulay graph",
 }
 
-FIXTURE_IDS = ("EX3.8", "EX3.9", "EX4.3", "C5-ORDER", "VILLARREAL-EDGE")
+FIXTURE_IDS = ("EX3.8", "EX3.9", "EX4.3", "C5-ORDER", "VILLARREAL-EDGE", "RP2-SD")
 
 
 @dataclass(frozen=True)
@@ -494,6 +496,26 @@ def ex43_pair():
     return G, frozenset({4})
 
 
+# the 6-vertex real projective plane: 10 triangles, every edge of K6 in two
+_RP2_TRIANGLES = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                  (1, 2, 4), (1, 3, 4), (1, 3, 5), (2, 3, 5), (2, 4, 5))
+
+
+def rp2_sd() -> Graph:
+    """Complement of the 1-skeleton of the barycentric subdivision of RP^2.
+
+    Vertices are the 31 nonempty faces of RP^2, adjacent when neither
+    contains the other, so the independence complex is the subdivision
+    itself: Cohen-Macaulay over Q and GF(3) but not over GF(2) (Katzman,
+    JCTA 2006).  Its dual has no linear quotients in any field.
+    """
+    faces = sorted({frozenset(s) for t in _RP2_TRIANGLES
+                    for k in (1, 2, 3) for s in combinations(t, k)},
+                   key=lambda f: (len(f), sorted(f)))
+    return Graph(len(faces), [(i, j) for i, j in combinations(range(len(faces)), 2)
+                              if not (faces[i] < faces[j] or faces[j] < faces[i])])
+
+
 _EX38_DUAL = frozenset({
     frozenset({0, 2, 3, 5}), frozenset({1, 2, 3, 5}), frozenset({0, 2, 4, 5}),
     frozenset({1, 3, 4, 5}), frozenset({0, 2, 4, 6}), frozenset({1, 3, 4, 6}),
@@ -638,5 +660,17 @@ def run_fixture(fixture_id: str) -> FixtureResult:
             "path4_cm": is_cm(p4).value,
         }
         expected = {"path3_scm": True, "path3_cm": False, "path4_cm": True}
+        return FixtureResult(fixture_id, expected, observed)
+    if fixture_id == "RP2-SD":
+        G = rp2_sd()
+        observed = {
+            "cm_gf2": is_cm(G, GF2).value,
+            "cm_gf3": is_cm(G, GF3).value,
+            "cm_q": is_cm(G, QQ).value,
+            "dual_linear_quotients": has_dual_linear_quotients(
+                G, budget=DEFAULT_SEARCH_BUDGET).verdict,
+        }
+        expected = {"cm_gf2": False, "cm_gf3": True, "cm_q": True,
+                    "dual_linear_quotients": False}
         return FixtureResult(fixture_id, expected, observed)
     raise InputError(f"unknown fixture {fixture_id!r}; known: {', '.join(FIXTURE_IDS)}")

@@ -10,12 +10,11 @@ integer elimination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, gcd
+from math import gcd
 
 from .errors import InputError
 from .graphs import _bits, _key
 from .monomials import Monomial, MonomialIdeal, squarefree_degree_component
-from .quotients import QuotientOrder, verify_order
 
 __all__ = [
     "FieldSpec",
@@ -24,12 +23,12 @@ __all__ = [
     "QQ",
     "SimplicialComplex",
     "BettiTable",
+    "BettiWitness",
     "CWLReport",
     "upper_koszul_complex",
     "reduced_homology_ranks",
     "betti_numbers",
     "betti_at",
-    "betti_from_quotient_order",
     "has_linear_resolution",
     "nonlinear_witness",
     "is_componentwise_linear",
@@ -377,12 +376,18 @@ class BettiTable:
         return out
 
 
-def _lcm_lattice(M: MonomialIdeal) -> list:
-    """All unions of nonempty sets of generator supports, deduplicated."""
+def _lcm_lattice(M: MonomialIdeal, spend=None) -> list:
+    """All unions of nonempty sets of generator supports, deduplicated.
+
+    ``spend(k)``, when given, is charged k units as k new elements join.
+    """
     lattice = set()
     for g in M.gens:
+        size = len(lattice)
         lattice |= {x | g.mask for x in lattice}
         lattice.add(g.mask)
+        if spend is not None:
+            spend(len(lattice) - size)
     return sorted(lattice, key=lambda m: (bin(m).count("1"), _key(m)))
 
 
@@ -411,42 +416,23 @@ def betti_at(M: MonomialIdeal, b: Monomial, i: int, field: FieldSpec = GF2) -> i
     return ranks.get(i - 1, 0)
 
 
-def betti_from_quotient_order(Q: QuotientOrder) -> BettiTable:
-    """Total Betti numbers implied by a verified linear-quotients order.
-
-    For an order with colon-variable counts r_j on an ideal generated in
-    degree d, beta_{i, d+i} is the sum of binomial(r_j, i).  Serves as an
-    independent oracle against the homological computation.
-    """
-    if not verify_order(Q):
-        raise InputError("certificate does not verify")
-    d = Q.degree
-    if d is None and Q.gens:
-        raise InputError("Betti oracle needs an equigenerated ideal")
-    totals = {}
-    for rj in Q.step_sizes():
-        for i in range(rj + 1):
-            key = (i, d + i)
-            totals[key] = totals.get(key, 0) + comb(rj, i)
-    return BettiTable(Q.ambient, totals)
-
-
 # ---------------------------------------------------------------------------
 # linear resolutions, componentwise linearity
 
 
-def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2):
+def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2, spend=None):
     """First (i, multidegree) with a Betti number off the linear strand.
 
     Scans multidegrees by increasing size (then lexicographically) and
     stops at the first witness; None when the resolution is linear.
+    ``spend`` is charged one unit per lcm-lattice element built.
     """
     if M.is_zero:
         return None
     if not M.is_equigenerated:
         raise InputError("linear-resolution test needs an equigenerated ideal")
     d = M.min_degree
-    for b in _lcm_lattice(M):
+    for b in _lcm_lattice(M, spend):
         ranks = reduced_homology_ranks(upper_koszul_complex(M, Monomial.from_mask(b)), field)
         size = bin(b).count("1")
         for j in sorted(ranks):
@@ -458,6 +444,27 @@ def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2):
 def has_linear_resolution(M: MonomialIdeal, field: FieldSpec = GF2) -> bool:
     """True when every nonzero beta_{i,j} sits in degree j = d + i."""
     return nonlinear_witness(M, field) is None
+
+
+@dataclass(frozen=True)
+class BettiWitness:
+    """Nonlinear syzygy: beta_{index, multidegree} of the degree-`degree`
+    dual component is nonzero with |multidegree| != degree + index."""
+
+    degree: int
+    index: int
+    multidegree: frozenset
+
+    kind = "betti-witness"
+
+    def to_json(self, labels=None) -> dict:
+        b = sorted(self.multidegree)
+        return {
+            "kind": self.kind,
+            "degree": self.degree,
+            "index": self.index,
+            "multidegree": [labels[v] for v in b] if labels else b,
+        }
 
 
 @dataclass

@@ -8,14 +8,22 @@ so every order found here -- whether by exact search or by the constructive
 whisker recursion -- is verified before it is trusted.  ``Monomial`` and
 ``MonomialIdeal`` objects appear only in the derived views and at the JSON
 boundary.
+
+A dual component is ordered by the first of these that succeeds: its
+canonical order (identity), the whisker decomposition at a pendant or
+isolated vertex (structural), then the exact search.  At the search's
+first backtrack a GF(2) Betti witness is sought once; it proves that no
+order exists, and otherwise the search resumes where it stopped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import Graph, _bits, _covers_by_size, _mask_of
+from .homology import GF2, BettiTable, BettiWitness, nonlinear_witness
 from .monomials import Monomial, MonomialIdeal
 
 __all__ = [
@@ -26,6 +34,7 @@ __all__ = [
     "find_order",
     "has_dual_linear_quotients",
     "whisker_order",
+    "betti_from_quotient_order",
     "search_stats",
     "reset_search_stats",
 ]
@@ -38,6 +47,7 @@ search_stats = {
     "greedy": 0,        # exact search succeeded with no backtracking
     "backtracked": 0,   # exact search succeeded after backtracking
     "exhausted": 0,     # exact search proved no order exists
+    "refuted": 0,       # a GF(2) Betti witness proved no order exists
 }
 
 
@@ -228,16 +238,38 @@ def verify_order(q: QuotientOrder) -> bool:
     return not failed and colon == list(q.colon)
 
 
+def betti_from_quotient_order(Q: QuotientOrder) -> BettiTable:
+    """Total Betti numbers implied by a verified linear-quotients order.
+
+    For an order with colon-variable counts r_j on an ideal generated in
+    degree d, beta_{i, d+i} is the sum of binomial(r_j, i).  Serves as an
+    independent oracle against the homological computation.
+    """
+    if not verify_order(Q):
+        raise InputError("certificate does not verify")
+    d = Q.degree
+    if d is None and Q.gens:
+        raise InputError("Betti oracle needs an equigenerated ideal")
+    totals = {}
+    for rj in Q.step_sizes():
+        for i in range(rj + 1):
+            key = (i, d + i)
+            totals[key] = totals.get(key, 0) + comb(rj, i)
+    return BettiTable(Q.ambient, totals)
+
+
 # ---------------------------------------------------------------------------
 # exact search
 
 
-def _search_masks(masks, spend=None):
+def _search_masks(masks, spend=None, refute=None):
     """Lexicographically first linear-quotients order of ``masks``, or None.
 
     Depth-first search over prefixes; failed prefix *sets* are memoized,
     which is exact because a step's colon depends on the prefix only as a
     set.  ``spend`` is called once per node expansion for budget accounting.
+    ``refute`` is called once, at the first backtrack; when it returns
+    True, no order exists and the search stops, else it resumes.
     """
     r = len(masks)
     if r <= 1:
@@ -271,6 +303,9 @@ def _search_masks(masks, spend=None):
                         break
             i += 1
         if not advanced:
+            if not backtracked and refute is not None and refute():
+                search_stats["refuted"] += 1
+                return None
             failed.add(used)
             if not chosen:
                 search_stats["exhausted"] += 1
@@ -317,8 +352,8 @@ def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
 def _budget_counter(budget: int):
     state = {"left": budget}
 
-    def spend():
-        state["left"] -= 1
+    def spend(units=1):
+        state["left"] -= units
         if state["left"] < 0:
             raise SearchBudgetExceeded(f"order search exceeded {budget} nodes")
 
@@ -334,8 +369,9 @@ class _OrderSearch:
 
     Works on bitmasks in the graph's own ambient so that the whisker
     recursion never reindexes.  ``order`` answers exactly: a list is a
-    verified order, None means no order exists (proved by exhaustive
-    search); a budget overrun raises instead of guessing.
+    verified order, None means no order exists (proved by a GF(2) Betti
+    witness, kept in ``witnesses``, or by exhaustive search); a budget
+    overrun raises instead of guessing.
     """
 
     def __init__(self, adj, budget=None):
@@ -343,6 +379,7 @@ class _OrderSearch:
         self._covers = {}
         self._orders = {}
         self._colon = {}
+        self.witnesses = {}
         self.spend = _budget_counter(budget) if budget is not None else None
 
     def covers(self, active: int) -> dict:
@@ -381,6 +418,17 @@ class _OrderSearch:
         return True
 
     def _order_uncached(self, active: int, d: int):
+        """Identity, then structural order, then the exact search, which at
+        its first backtrack asks ``_refuted`` for a GF(2) Betti witness.
+
+        Lemma: if a component generated in degree d has linear quotients,
+        its resolution is d-linear over every field, GF(2) included
+        (Herzog-Takayama, Resolutions by mapping cones, 2002).  Proof
+        sketch: the mapping cone of each colon step adds a Koszul complex
+        on variables, shifted by d, so every step stays on the linear
+        strand.  Hence a GF(2) Betti number off the strand proves that the
+        search would end in None, and stopping there is exact.
+        """
         gens = self.gens(active, d)
         if len(gens) <= 1:
             return list(gens)
@@ -391,7 +439,18 @@ class _OrderSearch:
         if cand is not None and self._linear((active, d), cand):
             search_stats["structural"] += 1
             return cand
-        return _search_masks(gens, self.spend)
+        return _search_masks(gens, self.spend, lambda: self._refuted(active, d, gens))
+
+    def _refuted(self, active: int, d: int, gens) -> bool:
+        """Keep a GF(2) Betti witness of the component under (active, d);
+        False when it has a linear resolution.  The lcm lattice the scan
+        builds is charged to the search budget."""
+        ideal = MonomialIdeal._from_canonical(len(self.adj), [Monomial.from_mask(m) for m in gens])
+        w = nonlinear_witness(ideal, GF2, self.spend)
+        if w is None:
+            return False
+        self.witnesses[(active, d)] = BettiWitness(d, *w)
+        return True
 
     def _structural_candidate(self, active: int, d: int):
         """Order along the whisker decomposition at the first isolated
@@ -449,12 +508,17 @@ def _whisker_seq(ctx, active: int, x: int, d: int, block):
 
 @dataclass
 class DLQReport:
-    """Per-degree linear-quotients outcomes for a graph's dual components."""
+    """Per-degree linear-quotients outcomes for a graph's dual components.
+
+    A degree mapped to None has no order; ``witnesses`` holds the GF(2)
+    ``BettiWitness`` that proves it, for the degrees that have one.
+    """
 
     graph: Graph
     per_degree: dict = field(default_factory=dict)
     unknown: tuple = ()
     skipped: tuple = ()
+    witnesses: dict = field(default_factory=dict)
 
     @property
     def verdict(self):
@@ -475,12 +539,21 @@ class DLQReport:
         return {d: q for d, q in self.per_degree.items() if q is not None}
 
     def to_json(self, labels=None) -> dict:
-        """The dlq-report payload that ``decide.check_evidence`` reads."""
+        """The dlq-report payload that ``decide.check_evidence`` reads.
+
+        A degree without an order is written as its witness, or as null
+        when it has none.
+        """
+        if labels is None:
+            labels = self.graph.labels
+        per_degree = {}
+        for d, q in self.per_degree.items():
+            w = q if q is not None else self.witnesses.get(d)
+            per_degree[str(d)] = w.to_json(labels) if w is not None else None
         return {
             "kind": "dlq-report",
             "verdict": self.verdict,
-            "per_degree": {str(d): (q.to_json(labels) if q is not None else None)
-                           for d, q in self.per_degree.items()},
+            "per_degree": per_degree,
             "unknown": list(self.unknown),
             "skipped": list(self.skipped),
         }
@@ -490,8 +563,9 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
     """Check linear quotients of every square-free degree component of the dual.
 
     Degrees run from the minimum cover size to the vertex count.  With a
-    budget, degrees whose exact search was cut off are reported as unknown
-    rather than decided.
+    budget, degrees whose exact search or witness scan was cut off are
+    reported as unknown rather than decided.  A degree without an order
+    carries its GF(2) witness when the search found one.
     """
     ctx = _OrderSearch(G.adj, budget)
     full = (1 << G.n) - 1
@@ -515,7 +589,8 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
             failed = True
         else:
             per_degree[d] = ctx.quotient_order(G.n, full, d)
-    return DLQReport(G, per_degree, tuple(unknown), tuple(skipped))
+    witnesses = {d: ctx.witnesses[full, d] for d in per_degree if (full, d) in ctx.witnesses}
+    return DLQReport(G, per_degree, tuple(unknown), tuple(skipped), witnesses)
 
 
 # ---------------------------------------------------------------------------

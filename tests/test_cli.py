@@ -145,10 +145,14 @@ def test_verify_detects_flipped_unmixed_flag(capsys, tmp_path, c5, ex43):
         assert code == 1 and "unmixed flag does not match" in out
 
 
+C4_WITNESS = {"kind": "betti-witness", "degree": 2, "index": 1,
+              "multidegree": ["x1", "x2", "x3", "x4"]}
+
+
 def _c4_certificates(capsys, c4):
     _, out, _ = run(capsys, "lin-quotients", c4, "--json")
     report = json.loads(out)
-    assert report["per_degree"]["2"] is None
+    assert report["per_degree"]["2"] == C4_WITNESS
     return report, report["per_degree"]["3"], report["per_degree"]["4"]
 
 
@@ -189,6 +193,28 @@ def test_verify_rejects_degrees_outside_or_twice(capsys, tmp_path, c4):
         assert code == 1 and "exactly once" in out
 
 
+@pytest.mark.parametrize("key, witness, why", [
+    pytest.param("2", {**C4_WITNESS, "multidegree": ["x1", "x2", "x3"]},
+                 "witness multidegree lies on the linear strand", id="linear-strand"),
+    pytest.param("2", {**C4_WITNESS, "index": 0},
+                 "witness Betti number vanishes on re-computation", id="vanishing"),
+    pytest.param("3", C4_WITNESS, "witness of degree 2 filed under degree 3",
+                 id="wrong-degree"),
+])
+def test_verify_rejects_forged_report_witness(capsys, tmp_path, c4, key, witness, why):
+    report, _, _ = _c4_certificates(capsys, c4)
+    report["per_degree"][key] = witness
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(report))
+    assert run(capsys, "verify", c4, "--in", str(payload))[:2] == (
+        1, f"verified: false (degree {key}: {why})\n")
+
+
+def _report_witness(d, **edit):
+    """A C4 lin-quotients report whose degree-2 witness has ``edit`` applied."""
+    return {**d, "per_degree": {**d["per_degree"], "2": {**d["per_degree"]["2"], **edit}}}
+
+
 @pytest.mark.parametrize("source, edit", [
     pytest.param("lin-quotients", lambda d: {**d, "per_degree": {"x": None, **d["per_degree"]}},
                  id="degree-key-x"),
@@ -202,6 +228,14 @@ def test_verify_rejects_degrees_outside_or_twice(capsys, tmp_path, c4):
                  id="certificate-int-gens"),
     pytest.param("lin-quotients", lambda d: {**d["per_degree"]["3"], "ambient": "x"},
                  id="certificate-ambient-x"),
+    pytest.param("lin-quotients", lambda d: _report_witness(d, index="x"),
+                 id="report-witness-index-x"),
+    pytest.param("lin-quotients", lambda d: _report_witness(d, degree=None),
+                 id="report-witness-without-degree"),
+    pytest.param("lin-quotients", lambda d: _report_witness(d, multidegree=["x1", "y9"]),
+                 id="report-witness-unknown-vertex"),
+    pytest.param("lin-quotients", lambda d: _report_witness(d, multidegree=4),
+                 id="report-witness-int-multidegree"),
 ])
 def test_verify_malformed_payload_exits_2(capsys, tmp_path, c4, source, edit):
     _, out, _ = run(capsys, source, c4, "--json")
@@ -210,6 +244,24 @@ def test_verify_malformed_payload_exits_2(capsys, tmp_path, c4, source, edit):
     code, out, err = run(capsys, "verify", c4, "--in", str(payload))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rp2_sd_report_verifies(capsys, tmp_path):
+    # every degree of RP2-SD's dual is decided within the default budget:
+    # one refuted by its GF(2) witness, the others certified
+    from edgeideals.graphs import format_graph
+    from edgeideals.harness import rp2_sd
+    graph = tmp_path / "rp2.graph"
+    graph.write_text(format_graph(rp2_sd()))
+    code, out, _ = run(capsys, "lin-quotients", str(graph), "--json")
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] is False and report["unknown"] == []
+    assert [d for d, e in report["per_degree"].items() if "ordered_gens" not in e] == ["28"]
+    assert report["per_degree"]["28"]["kind"] == "betti-witness"
+    payload = tmp_path / "report.json"
+    payload.write_text(out)
+    code, out, _ = run(capsys, "verify", str(graph), "--in", str(payload))
+    assert (code, out) == (0, "verified: true (report verified)\n")
 
 
 def test_cli_holds_no_evidence_logic():
@@ -343,15 +395,25 @@ def test_verify_dlq_report_search_is_budgeted(capsys, tmp_path, monkeypatch):
     graph = tmp_path / "hostile.graph"
     graph.write_text(HOSTILE_TEXT)
     code, out, _ = run(capsys, "lin-quotients", str(graph), "--json")
-    assert code == 1 and json.loads(out)["per_degree"]["6"] is None
+    report = json.loads(out)
+    assert code == 1 and report["per_degree"]["6"]["kind"] == "betti-witness"
+    # the same report with every witness replaced by a plain null, as
+    # reports were written before null degrees carried their witness
+    plain = {**report, "per_degree": {d: None if e and e.get("kind") == "betti-witness" else e
+                                      for d, e in report["per_degree"].items()}}
+    assert plain["per_degree"]["6"] is None
     payload = tmp_path / "report.json"
-    payload.write_text(out)
+    payload.write_text(json.dumps(plain))
     code, out, _ = run(capsys, "verify", str(graph), "--in", str(payload))
     assert code == 0 and "verified: true" in out  # within the default budget
     import edgeideals.decide
     monkeypatch.setattr(edgeideals.decide, "DEFAULT_SEARCH_BUDGET", 100)
     code, out, err = run(capsys, "verify", str(graph), "--in", str(payload))
     assert code == 2 and out == "" and "exceeded 100 nodes" in err
+    # a witness is re-checked with betti_at and needs no search
+    payload.write_text(json.dumps(report))
+    code, out, _ = run(capsys, "verify", str(graph), "--in", str(payload))
+    assert code == 0 and "verified: true" in out
 
 
 # plain G(7, 0.4) drawn from random.Random(0); the order search orders two

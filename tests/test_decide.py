@@ -252,6 +252,28 @@ def test_budget_exhaustion_falls_back_to_homology():
     assert any("budget" in note for note in v.notes)
 
 
+def test_rp2_sd_depends_on_the_field():
+    # Katzman's example: CM over GF(3) and Q but not over GF(2); a GF(2)
+    # Betti witness rules out dual linear quotients in every field
+    from edgeideals.decide import DEFAULT_SEARCH_BUDGET
+    from edgeideals.harness import rp2_sd
+    G = rp2_sd()
+    assert not is_cm(G, GF2).value
+    for field in (GF3, QQ):
+        v = is_cm(G, field)
+        assert v.value and isinstance(v.evidence, ComponentwiseScan)
+        assert v.notes == ("componentwise linear without dual linear quotients: degree 28 "
+                           "has a nonlinear Betti number over GF(2), so the verdict depends "
+                           "on the field",)
+    report = has_dual_linear_quotients(G, budget=DEFAULT_SEARCH_BUDGET)
+    assert report.verdict is False and not report.unknown
+    assert set(report.witnesses) == {report.failing_degree}
+    w = report.witnesses[report.failing_degree]
+    assert w.degree == report.failing_degree and len(w.multidegree) != w.degree + w.index
+    comp = squarefree_degree_component(alexander_dual_of_edge_ideal(G), w.degree)
+    assert betti_at(comp, Monomial(w.multidegree), w.index, GF2) > 0
+
+
 def test_dlq_true_implies_componentwise_linear():
     from edgeideals import GF2, has_dual_linear_quotients, is_componentwise_linear
     rng = random.Random(31)
@@ -335,9 +357,13 @@ def test_check_evidence_accepts_every_dlq_report():
                 verdicts.add(report.verdict)
                 data = report.to_json(G.labels)
                 assert check_evidence(G, data) == (True, "report verified")
-    # C4's degree-2 component has no order: a null entry within the budget,
-    # an unknown degree with none
+    # C4's degree-2 component has no order: a GF(2) witness within the
+    # budget, which a plain null may replace, and an unknown degree with none
     C4 = cycle_graph(4)
-    assert has_dual_linear_quotients(C4, budget=20_000).to_json()["per_degree"]["2"] is None
+    data = has_dual_linear_quotients(C4, budget=20_000).to_json()
+    assert data["per_degree"]["2"] == {"kind": "betti-witness", "degree": 2, "index": 1,
+                                       "multidegree": ["x1", "x2", "x3", "x4"]}
+    data["per_degree"]["2"] = None
+    assert check_evidence(C4, data) == (True, "report verified")
     assert has_dual_linear_quotients(C4, budget=0).to_json()["unknown"] == [2]
     assert verdicts == {True, False, None}

@@ -10,7 +10,8 @@ from edgeideals import (Graph, InputError, Monomial, MonomialIdeal, QuotientOrde
                         squarefree_degree_component, verify_order,
                         whisker_order)
 from edgeideals.graphs import _bits, _mask_of
-from edgeideals.quotients import _colon_walk, _step_linear, reset_search_stats, search_stats
+from edgeideals.quotients import (_OrderSearch, _colon_walk, _search_masks, _step_linear,
+                                  reset_search_stats, search_stats)
 
 from oracles import colon_steps_by_ideal, permutation_order_exists
 
@@ -510,6 +511,103 @@ def test_search_stats_accumulate():
     assert search_stats["identity"] == 1
     find_order(MonomialIdeal.from_generators(4, [M([0, 2]), M([1, 3])]))
     assert search_stats["exhausted"] == 1
+
+
+def test_gf2_witness_agrees_with_the_exact_search():
+    # linear quotients give a linear resolution over every field
+    # (Herzog-Takayama), so a component with a GF(2) Betti witness has no
+    # order and a component with an order has no witness; checked on every
+    # component the order search visits, the structural candidate's
+    # sub-blocks included, against the unbudgeted search alone
+    from edgeideals import GF2, nonlinear_witness
+    rng = random.Random(61)
+    refuted = ordered = 0
+    reset_search_stats()
+    for _ in range(200):
+        n = rng.randint(4, 8)
+        G = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        if n < 8 and rng.random() < 0.5:
+            G, _ = add_whiskers(G, rng.sample(range(n), rng.randint(1, min(n, 8 - n))))
+        ctx = _OrderSearch(G.adj)
+        full = (1 << G.n) - 1
+        for d in range(min(ctx.covers(full)), G.n + 1):
+            ctx.order(full, d)
+        for (active, d), got in ctx._orders.items():
+            gens = ctx.gens(active, d)
+            ideal = MonomialIdeal._from_canonical(G.n, [M.from_mask(m) for m in gens])
+            exact = _search_masks(gens)
+            witness = nonlinear_witness(ideal, GF2)
+            if witness is not None:
+                assert exact is None, (G, active, d)
+                refuted += 1
+            elif exact is not None:
+                ordered += 1
+            assert (got is None) == (exact is None), (G, active, d)
+            if (active, d) in ctx.witnesses:
+                w = ctx.witnesses[active, d]
+                assert got is None and w.degree == d
+                assert witness == (w.index, w.multidegree)
+            assert ctx._refuted(active, d, gens) == (witness is not None)
+    assert refuted >= 20 and ordered >= 500
+
+
+def test_refute_runs_once_at_the_first_backtrack():
+    # nine cubic masks on six variables, in an order whose lexicographic
+    # search dead-ends once before it finds an order
+    masks = [37, 11, 14, 50, 25, 49, 28, 42, 44]
+
+    def run(refute):
+        nodes = []
+        calls = []
+        reset_search_stats()
+        got = _search_masks(masks, lambda: nodes.append(1),
+                            refute and (lambda: calls.append(1) or refute()))
+        return got, len(nodes), len(calls)
+
+    plain, plain_nodes, _ = run(None)
+    assert plain is not None and search_stats["backtracked"] == 1
+    # no witness: the search resumes where it stopped, node for node
+    assert run(lambda: False) == (plain, plain_nodes, 1)
+    assert search_stats["backtracked"] == 1
+    # a witness: the search stops at its first dead end
+    got, nodes, calls = run(lambda: True)
+    assert got is None and nodes < plain_nodes and calls == 1
+    assert search_stats["refuted"] == 1 and search_stats["exhausted"] == 0
+    # a greedy win never asks
+    C5 = alexander_dual_of_edge_ideal(cycle_graph(5)).gen_masks()
+    assert _search_masks(C5, refute=lambda: pytest.fail("asked without a backtrack")) == C5
+
+
+def test_witness_scan_is_charged_to_the_budget(monkeypatch):
+    # RP2-SD's first non-identity degree reaches its first backtrack within
+    # 100 nodes; its lcm lattice is larger than what is left, so the scan
+    # is cut off and the degree is unknown rather than scanned to the end
+    import edgeideals.quotients as quotients
+    from edgeideals.errors import SearchBudgetExceeded
+    from edgeideals.harness import rp2_sd
+    outcomes = []
+    scan = quotients.nonlinear_witness
+
+    def spy(*args):
+        try:
+            got = scan(*args)
+        except SearchBudgetExceeded:
+            outcomes.append("cut off")
+            raise
+        outcomes.append(got)
+        return got
+
+    monkeypatch.setattr(quotients, "nonlinear_witness", spy)
+    reset_search_stats()
+    report = has_dual_linear_quotients(rp2_sd(), budget=100, stop_at_failure=True)
+    assert outcomes == ["cut off"]
+    assert report.verdict is None and report.unknown[0] == 28 and not report.witnesses
+    assert search_stats["refuted"] == 0
+    outcomes.clear()
+    report = has_dual_linear_quotients(rp2_sd(), budget=20_000, stop_at_failure=True)
+    assert len(outcomes) == 1 and outcomes[0] is not None
+    assert report.verdict is False and report.failing_degree == 28
+    assert search_stats["refuted"] == 1
 
 
 def test_dlq_budget_marks_unknown():
