@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, add_whiskers, delete_vertices, is_unmixed,
                      classify_remainder, RemainderClass, _bits)
 from .monomials import Monomial, alexander_dual_of_edge_ideal, squarefree_degree_component
@@ -321,6 +321,8 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     """Why a betti-witness payload fails to re-check, or None when its
     Betti number, recomputed with ``betti_at`` over ``field``, is nonzero
     off the linear strand.  ``key`` is the degree it is filed under, if any.
+    Raises SearchBudgetExceeded when the upper Koszul complex at the
+    witness may have more than ``DEFAULT_SEARCH_BUDGET`` faces.
     """
     d = _int(ev.get("degree"), "witness degree")
     i = _int(ev.get("index"), "witness index")
@@ -334,7 +336,14 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
         return f"witness of degree {d} filed under degree {key}"
     if len(b) == d + i:
         return "witness multidegree lies on the linear strand"
-    if betti_at(squarefree_degree_component(dual, d), Monomial(b), i, field) == 0:
+    comp = squarefree_degree_component(dual, d)
+    x_b = Monomial(b)
+    # each of the F generators dividing x^b leaves a facet of |b| - d vertices
+    F = sum(g.mask & ~x_b.mask == 0 for g in comp.gens)
+    if F and F << (len(b) - d) > DEFAULT_SEARCH_BUDGET:
+        raise SearchBudgetExceeded(f"witness complex may have {F << (len(b) - d)} faces, "
+                                   f"over {DEFAULT_SEARCH_BUDGET}")
+    if betti_at(comp, x_b, i, field) == 0:
         return "witness Betti number vanishes on re-computation"
     return None
 

@@ -138,10 +138,6 @@ class WhiskerMap:
     def tips(self) -> frozenset:
         return frozenset(t for _, t in self.pairs)
 
-    @property
-    def bases(self) -> frozenset:
-        return frozenset(b for b, _ in self.pairs)
-
 
 @dataclass(frozen=True)
 class ChordalityResult:

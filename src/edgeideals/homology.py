@@ -340,9 +340,6 @@ class BettiTable:
             raise InputError("this table has no multigraded entries")
         return self.entries.get((i, frozenset(b)), 0)
 
-    def max_index(self) -> int:
-        return max((i for i, _ in self.totals), default=-1)
-
     def to_text(self) -> str:
         if not self.totals:
             return "(zero table)\n"

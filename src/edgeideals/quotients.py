@@ -56,79 +56,60 @@ def reset_search_stats():
         search_stats[k] = 0
 
 
-def _step_linear(prefix_masks, u: int):
-    """Is the colon of the prefix by u generated by single variables?
+def _colon_step(col, vbit, u: int, i: int):
+    """One colon step: the prefix of i generators, indexed by ``col``, by u.
 
-    Returns (ok, v1) where v1 is the union of the single-variable colon
-    generators.  The colon generators are the supports p \\ u; the ideal they
-    generate is variable-generated exactly when every difference meets v1.
-    Only the order search uses this per-step scan: its prefixes change by
-    one generator at a time, and most of them are short.
+    ``col[v]`` is the bitset of prefix positions whose generator contains
+    x_v, and ``vbit[v]`` is 1 << v.  The prefix generators p with
+    |p \\ u| = 1 are those met by exactly one column of a variable outside
+    u; v1 is the set of outside variables whose column meets one of them.
+    Since v1 avoids u, p \\ u meets v1 exactly when p does, so the step is
+    linear iff the columns of v1 cover the whole prefix.  Costs O(n)
+    big-int operations, for any mix of degrees.
+
+    Returns (v1, linear, inside): ``inside`` lists the variables of u, the
+    columns a caller sets bit i in when it appends u to the prefix.
     """
-    nu = ~u
-    v1 = 0
-    diffs = []
-    for p in prefix_masks:
-        dmask = p & nu
-        diffs.append(dmask)
-        if dmask & (dmask - 1) == 0:
-            v1 |= dmask
-    for dmask in diffs:
-        if not dmask & v1:
-            return False, v1
-    return True, v1
+    once = twice = 0
+    inside = []
+    outside = []
+    for v, b in enumerate(vbit):
+        if u & b:
+            inside.append(v)
+        else:
+            c = col[v]
+            if c:
+                outside.append(v)
+                twice |= once & c
+                once |= c
+    single = once & ~twice
+    v1 = covered = 0
+    if single:
+        for v in outside:
+            c = col[v]
+            if c & single:
+                v1 |= vbit[v]
+                covered |= c
+    return v1, covered == (1 << i) - 1, inside
 
 
 def _colon_walk(masks, stop_at_failure=False):
     """Colon variables of every step of a generator sequence, in one pass.
 
-    ``col[v]`` is the bitset of earlier positions whose generator contains
-    x_v.  At step i with new generator u, the prefix generators p with
-    |p \\ u| = 1 are those met by exactly one column of a variable outside
-    u; v1 is the set of outside variables whose column meets one of them.
-    Since v1 avoids u, p \\ u meets v1 exactly when p does, so the step is
-    linear iff the columns of v1 cover the whole prefix.  Each step costs
-    O(n) big-int operations, for any mix of degrees.
-
     Returns (colon, failed): the v1 mask of every position (0 at position
     0) and the bitset of positions whose step is not linear.  With
     ``stop_at_failure`` the walk ends at the first such step.
     """
-    r = len(masks)
-    colon = [0] * r
-    top = 0
-    for m in masks:
-        top |= m
-    vbit = [1 << v for v in range(top.bit_length())]
+    colon = [0] * len(masks)
+    vbit = [1 << v for v in range(max(masks, default=0).bit_length())]
     col = [0] * len(vbit)
     failed = 0
     for i, u in enumerate(masks):
-        once = twice = 0
-        inside = []
-        outside = []
-        for v, b in enumerate(vbit):
-            if u & b:
-                inside.append(v)
-            else:
-                c = col[v]
-                if c:
-                    outside.append(v)
-                    twice |= once & c
-                    once |= c
-        if i:
-            single = once & ~twice
-            v1 = covered = 0
-            if single:
-                for v in outside:
-                    c = col[v]
-                    if c & single:
-                        v1 |= vbit[v]
-                        covered |= c
-            colon[i] = v1
-            if covered != (1 << i) - 1:
-                failed |= 1 << i
-                if stop_at_failure:
-                    break
+        colon[i], linear, inside = _colon_step(col, vbit, u, i)
+        if not linear:
+            failed |= 1 << i
+            if stop_at_failure:
+                break
         bit = 1 << i
         for v in inside:
             col[v] |= bit
@@ -265,38 +246,49 @@ def betti_from_quotient_order(Q: QuotientOrder) -> BettiTable:
 def _search_masks(masks, spend=None, refute=None):
     """Lexicographically first linear-quotients order of ``masks``, or None.
 
-    Depth-first search over prefixes; failed prefix *sets* are memoized,
-    which is exact because a step's colon depends on the prefix only as a
-    set.  ``spend`` is called once per node expansion for budget accounting.
+    Depth-first search over prefixes, checking each candidate with
+    ``_colon_step`` on columns kept along the way: an appended generator's
+    columns gain its position bit and lose it when it is popped.  Failed
+    prefix *sets* are memoized, which is exact because a step's colon
+    depends on the prefix only as a set.  The memo needs no cap of its own:
+    an entry follows each backtrack, which pops one expanded node (or ends
+    at the root), so it holds at most one entry per ``spend`` call plus one.
+    ``spend`` is called once per node expansion for budget accounting.
     ``refute`` is called once, at the first backtrack; when it returns
     True, no order exists and the search stops, else it resumes.
     """
     r = len(masks)
     if r <= 1:
         return list(masks)
+    vbit = [1 << v for v in range(max(masks).bit_length())]
+    col = [0] * len(vbit)
     failed = set()
     chosen = []
-    prefix = []
+    insides = []
     used = 0
     nexts = [0]
     backtracked = False
     while True:
-        if len(chosen) == r:
+        k = len(chosen)
+        if k == r:
             search_stats["backtracked" if backtracked else "greedy"] += 1
-            return list(prefix)
+            return [masks[i] for i in chosen]
         advanced = False
         i = nexts[-1]
         while i < r:
             if not used >> i & 1:
                 child = used | 1 << i
                 if child not in failed:
-                    ok, _ = _step_linear(prefix, masks[i])
-                    if ok:
+                    _, linear, inside = _colon_step(col, vbit, masks[i], k)
+                    if linear:
                         if spend is not None:
                             spend()
                         nexts[-1] = i + 1
                         chosen.append(i)
-                        prefix.append(masks[i])
+                        insides.append(inside)
+                        bit = 1 << k
+                        for v in inside:
+                            col[v] |= bit
                         used = child
                         nexts.append(0)
                         advanced = True
@@ -312,7 +304,9 @@ def _search_masks(masks, spend=None, refute=None):
                 return None
             backtracked = True
             used ^= 1 << chosen.pop()
-            prefix.pop()
+            bit = 1 << (k - 1)
+            for v in insides.pop():
+                col[v] ^= bit
             nexts.pop()
 
 

@@ -264,6 +264,33 @@ def test_rp2_sd_report_verifies(capsys, tmp_path):
     assert (code, out) == (0, "verified: true (report verified)\n")
 
 
+def test_verify_bounds_the_witness_complex(capsys, tmp_path):
+    # a forged witness naming every vertex of a 10-edge perfect matching:
+    # 2^10 degree-10 covers divide x^b, each leaving a facet of 10 vertices,
+    # so the complex may have 2^20 faces; the re-check refuses it unbuilt
+    from edgeideals import check_evidence, is_sequentially_cm
+    from edgeideals.errors import SearchBudgetExceeded
+    from edgeideals.graphs import Graph, format_graph
+    from edgeideals.harness import rp2_sd
+    G = Graph(20, [(2 * j, 2 * j + 1) for j in range(10)])
+    forged = {"property": "SCM", "value": False, "field": "2",
+              "evidence": {"kind": "betti-witness", "degree": 10, "index": 1,
+                           "multidegree": list(G.labels)}}
+    with pytest.raises(SearchBudgetExceeded):
+        check_evidence(G, forged)
+    graph = tmp_path / "matching.graph"
+    graph.write_text(format_graph(G))
+    payload = tmp_path / "forged.json"
+    payload.write_text(json.dumps(forged))
+    code, out, err = run(capsys, "verify", str(graph), "--in", str(payload))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    # a genuine witness stays well inside the bound (RP2-SD: 60 facets, |b| - d = 3)
+    R = rp2_sd()
+    verdict = is_sequentially_cm(R)
+    assert verdict.evidence.kind == "betti-witness"
+    assert check_evidence(R, verdict.to_json(R.labels)) == (True, "verdict verified")
+
+
 def test_cli_holds_no_evidence_logic():
     # evidence is re-checked by decide.check_evidence; the CLI only does I/O
     import edgeideals.cli

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,7 +11,7 @@ from edgeideals import (Graph, InputError, Monomial, MonomialIdeal, QuotientOrde
                         squarefree_degree_component, verify_order,
                         whisker_order)
 from edgeideals.graphs import _bits, _mask_of
-from edgeideals.quotients import (_OrderSearch, _colon_walk, _search_masks, _step_linear,
+from edgeideals.quotients import (_OrderSearch, _colon_walk, _search_masks,
                                   reset_search_stats, search_stats)
 
 from oracles import colon_steps_by_ideal, permutation_order_exists
@@ -84,16 +85,15 @@ def test_degree_sorted_requirement():
 
 
 def _check_walk(ambient, seq):
-    """Cross-check every step of _colon_walk against the colon-ideal oracle
-    and the per-step prefix scan; returns whether the sequence is linear."""
+    """Cross-check every step of _colon_walk against the colon-ideal oracle;
+    returns whether the sequence is linear."""
     colon, failed = _colon_walk(seq)
     oracle = colon_steps_by_ideal(ambient, [list(_bits(m)) for m in seq])
     assert colon[0] == 0 and not failed & 1
     for i in range(1, len(seq)):
-        ok, v1 = _step_linear(seq[:i], seq[i])
         linear, oracle_v1 = oracle[i - 1]
-        assert (not failed >> i & 1) == ok == linear
-        assert colon[i] == v1 == _mask_of(oracle_v1)
+        assert (not failed >> i & 1) == linear
+        assert colon[i] == _mask_of(oracle_v1)
     # stopping at the first failure keeps every earlier step and that bit only
     stop_colon, stop_failed = _colon_walk(seq, stop_at_failure=True)
     first = failed & -failed
@@ -250,7 +250,7 @@ def test_find_order_matches_permutation_oracle():
     graphs = [cycle_graph(k) for k in (3, 4, 5, 6)]
     graphs += [random_graph(rng, rng.randint(2, 6), rng.choice([0.3, 0.6]))
                for _ in range(30)]
-    checked = 0
+    checked = lex = impossible = 0
     for G in graphs:
         dual = alexander_dual_of_edge_ideal(G)
         if dual.is_zero:
@@ -266,7 +266,19 @@ def test_find_order_matches_permutation_oracle():
                 assert verify_order(q)
                 assert q.ideal == comp
             checked += 1
+            if len(comp.gens) > 7:
+                continue
+            # the search returns the first linear permutation of its input
+            masks = comp.gen_masks()
+            for seq in (masks, rng.sample(masks, len(masks))):
+                first = next((list(p) for p in permutations(seq)
+                              if all(ok for ok, _ in colon_steps_by_ideal(
+                                  G.n, [list(_bits(m)) for m in p]))), None)
+                assert _search_masks(seq) == first
+                lex += 1
+                impossible += first is None
     assert checked > 40
+    assert lex > 150 and impossible >= 10
 
 
 # ---------------------------------------------------------------------------
