@@ -16,8 +16,8 @@ import logging
 from dataclasses import dataclass
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import (Graph, add_whiskers, delete_vertices, is_unmixed,
-                     classify_remainder, RemainderClass, _bits)
+from .graphs import (Graph, add_whiskers, delete_vertices, classify_remainder,
+                     RemainderClass, _bits)
 from .monomials import Monomial, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, FieldSpec, GF2, betti_at, is_componentwise_linear,
@@ -109,6 +109,7 @@ class Verdict:
     field_independent: bool = False
     unmixed: bool | None = None
     notes: tuple = ()
+    dual: object = None      # the Alexander dual decided on; not part of the JSON
 
     def to_json(self, labels=None) -> dict:
         out = {
@@ -134,15 +135,16 @@ def is_sequentially_cm(G: Graph, field: FieldSpec = GF2, *,
     per-degree scan (True) or a nonlinear-syzygy witness (False).
     """
     if G.edge_count() == 0:
-        return Verdict("SCM", True, field, ZeroIdealConvention(), field_independent=True)
+        return Verdict("SCM", True, field, ZeroIdealConvention(), field_independent=True,
+                       dual=alexander_dual_of_edge_ideal(G))
     report = has_dual_linear_quotients(G, budget=search_budget, stop_at_failure=True)
     if report.verdict is True:
         return Verdict("SCM", True, field, QuotientCertificates(report.certificates()),
-                       field_independent=True)
+                       field_independent=True, dual=report.dual)
     notes = ()
     if report.verdict is None:
         notes = ("dual linear quotients undecided within the search budget",)
-    cwl = is_componentwise_linear(alexander_dual_of_edge_ideal(G), field)
+    cwl = is_componentwise_linear(report.dual, field)
     if cwl.verdict:
         if report.verdict is False:
             d = report.failing_degree
@@ -152,18 +154,20 @@ def is_sequentially_cm(G: Graph, field: FieldSpec = GF2, *,
             notes = notes + (f"componentwise linear without dual linear quotients: {why}",)
             log.info("%d-vertex graph: componentwise linear over field %s without dual "
                      "linear quotients; %s", G.n, field, why)
-        return Verdict("SCM", True, field, ComponentwiseScan(dict(cwl.per_degree)), notes=notes)
+        return Verdict("SCM", True, field, ComponentwiseScan(dict(cwl.per_degree)),
+                       notes=notes, dual=report.dual)
     d, i, b = cwl.witness
-    return Verdict("SCM", False, field, BettiWitness(d, i, b), notes=notes)
+    return Verdict("SCM", False, field, BettiWitness(d, i, b), notes=notes, dual=report.dual)
 
 
 def is_cm(G: Graph, field: FieldSpec = GF2, *,
           search_budget=DEFAULT_SEARCH_BUDGET) -> Verdict:
-    """Cohen-Macaulay = sequentially Cohen-Macaulay and unmixed."""
+    """Cohen-Macaulay = sequentially Cohen-Macaulay and unmixed: the dual's
+    generators, G's minimal covers, share one size (dmin == D)."""
     scm = is_sequentially_cm(G, field, search_budget=search_budget)
-    unmixed = is_unmixed(G)
-    return Verdict("CM", scm.value and unmixed, scm.field, scm.evidence,
-                   field_independent=scm.field_independent, unmixed=unmixed, notes=scm.notes)
+    unmixed = scm.dual.is_equigenerated
+    return Verdict("CM", scm.value and unmixed, scm.field, scm.evidence, scm.field_independent,
+                   unmixed, scm.notes, scm.dual)
 
 
 def sufficient_scm(G: Graph, S) -> TheoremHit | None:
@@ -352,11 +356,12 @@ def _check_per_degree(G: Graph, dual, per, undecided=()):
     """Re-check a map from degree keys to certificates, witnesses or null.
 
     The keys and the ``undecided`` degrees (unknown or skipped) must name
-    every degree dmin..n of the dual exactly once.  A certificate must
-    order the component of its own key's degree.  A betti-witness entry
-    claims that component has no order, and must re-check over GF(2): a
-    nonlinear Betti number over any field rules out linear quotients.  A
-    null entry claims the same, which a search within
+    every degree dmin..D of the dual exactly once (the components above D
+    need none, by the lemma of ``has_dual_linear_quotients``).  A
+    certificate must order the component of its own key's degree.  A
+    betti-witness entry claims that component has no order, and must
+    re-check over GF(2): a nonlinear Betti number over any field rules out
+    linear quotients.  A null entry claims the same, which a search within
     ``DEFAULT_SEARCH_BUDGET`` nodes must confirm; an overrun raises
     SearchBudgetExceeded.  Returns (reason, verdict): the first failure or
     None, and the dual-linear-quotients verdict the evidence supports
@@ -366,9 +371,9 @@ def _check_per_degree(G: Graph, dual, per, undecided=()):
     entries = sorted(((_int(k, "degree"), v) for k, v in _object(per, "per_degree").items()),
                      key=lambda e: e[0])
     degrees = sorted([d for d, _ in entries] + list(undecided))
-    dmin = dual.min_degree  # the dual of an edge ideal is never zero
-    if degrees != list(range(dmin, G.n + 1)):
-        return f"degrees {degrees} do not account for {dmin}..{G.n} exactly once", None
+    dmin, top = dual.min_degree, dual.max_degree  # the dual of an edge ideal is never zero
+    if degrees != list(range(dmin, top + 1)):
+        return f"degrees {degrees} do not account for {dmin}..{top} exactly once", None
     impossible = False
     for d, cert in entries:
         if cert is None:
@@ -433,8 +438,11 @@ def _check_verdict(G: Graph, dual, data):
         if why:
             return False, why
     elif kind == "componentwise-scan":
-        if not is_componentwise_linear(dual, field).verdict:
+        cwl = is_componentwise_linear(dual, field)
+        if not cwl.verdict:
             return False, "componentwise-scan evidence but the dual is not componentwise linear"
+        if ev.get("per_degree") != {str(d): True for d in cwl.per_degree}:
+            return False, "componentwise-scan degrees are not the dual's dmin..D"
     else:
         raise InputError(f"evidence kind {kind!r} is not re-checkable here")
     scm_value = kind != "betti-witness"

@@ -315,49 +315,51 @@ def classify_remainder(G: Graph, S) -> RemainderClass:
 # vertex covers
 
 
-def _independent_sets(adj, verts_mask: int):
-    """Yield every independent subset of verts_mask as a mask: first those
-    avoiding its lowest vertex, then those containing it, recursively."""
+def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False, waiting: int = 0):
+    """Yield every independent subset of verts_mask of at least ``need``
+    vertices as a mask: first those avoiding its lowest vertex, then those
+    containing it, recursively, pruning the branches that fall short.  With
+    ``maximal``, only the maximal ones: ``waiting`` holds the excluded
+    vertices with no neighbour in the set yet, and a branch ends once one
+    of them can gain none."""
+    if verts_mask.bit_count() < need:
+        return
+    if maximal and any(adj[x] & verts_mask == 0 for x in _bits(waiting)):
+        return
     if verts_mask == 0:
         yield 0
         return
     low = verts_mask & -verts_mask
     v = low.bit_length() - 1
     rest = verts_mask ^ low
-    yield from _independent_sets(adj, rest)
-    for s in _independent_sets(adj, rest & ~adj[v]):
+    yield from _independent_sets(adj, rest, need, maximal, waiting | low)
+    for s in _independent_sets(adj, rest & ~adj[v], need - 1, maximal, waiting & ~adj[v]):
         yield s | low
 
 
-def _covers_by_size(adj, active: int) -> dict:
-    """All vertex covers of the induced subgraph on ``active``, keyed by size.
+def _covers_by_size(adj, active: int, top: int) -> dict:
+    """The vertex covers of at most ``top`` vertices of the induced
+    subgraph on ``active``, keyed by size.
 
     Covers are subsets of ``active`` (complements of independent sets), so
-    isolated vertices may pad a cover.  Each size class comes out in
-    canonical lexicographic order on sorted vertex indices with no sort:
-    ``_independent_sets`` branches on the lowest vertex and first yields
-    the sets avoiding it, whose covers contain it, and two covers of one
-    size are ordered by the lowest vertex in which they differ.
+    isolated vertices may pad a cover; larger covers are pruned unvisited.
+    Each size class comes out in canonical lexicographic order on sorted
+    vertex indices with no sort: ``_independent_sets`` branches on the
+    lowest vertex and first yields the sets avoiding it, whose covers
+    contain it, and two covers of one size are ordered by the lowest vertex
+    in which they differ.
     """
     out = {}
-    for s in _independent_sets(adj, active):
+    for s in _independent_sets(adj, active, active.bit_count() - top):
         cover = active ^ s
-        out.setdefault(bin(cover).count("1"), []).append(cover)
+        out.setdefault(cover.bit_count(), []).append(cover)
     return out
 
 
 def _minimal_cover_masks(adj, active: int) -> list:
     """Complements of maximal independent sets, canonically ordered (by
     size, then, as in ``_covers_by_size``, in enumeration order)."""
-    covers = []
-    for s in _independent_sets(adj, active):
-        maximal = True
-        for v in _bits(active & ~s):
-            if adj[v] & s == 0:
-                maximal = False
-                break
-        if maximal:
-            covers.append(active ^ s)
+    covers = [active ^ s for s in _independent_sets(adj, active, maximal=True)]
     covers.sort(key=int.bit_count)
     return covers
 
@@ -366,7 +368,7 @@ def vertex_covers_of_size(G: Graph, d: int) -> list:
     """All size-d vertex covers as frozensets, lexicographically ordered."""
     if d < 0 or d > G.n:
         return []
-    masks = _covers_by_size(G.adj, (1 << G.n) - 1).get(d, [])
+    masks = _covers_by_size(G.adj, (1 << G.n) - 1, d).get(d, [])
     return [frozenset(_bits(m)) for m in masks]
 
 

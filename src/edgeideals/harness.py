@@ -419,7 +419,10 @@ def _dlq_cached(G: Graph, dlq_memo: dict) -> bool:
     key = _graph_key(G)
     got = dlq_memo.get(key)
     if got is None:
-        got = has_dual_linear_quotients(G).verdict
+        got = has_dual_linear_quotients(G, budget=DEFAULT_SEARCH_BUDGET,
+                                        stop_at_failure=True).verdict
+        if got is None:  # undecided within the budget, which must not read as False
+            raise SearchBudgetExceeded(f"dual linear quotients of {G!r} undecided")
         dlq_memo[key] = got
     return got
 

@@ -481,13 +481,15 @@ class CWLReport:
 def is_componentwise_linear(I: MonomialIdeal, field: FieldSpec = GF2) -> CWLReport:
     """Check that every (I_[d]) has a linear resolution.
 
-    Degrees run from the least generator degree to the ambient count; the
-    scan stops at the first failing degree, whose witness is recorded.
+    Degrees run from the least to the largest generator degree: above it,
+    components inherit a linear resolution (the lemma of
+    ``quotients.has_dual_linear_quotients``).  The scan stops at the first
+    failing degree, whose witness is recorded.
     """
     per_degree = {}
     if I.is_zero:
         return CWLReport(I, field, per_degree)
-    for d in range(I.min_degree, I.ambient + 1):
+    for d in range(I.min_degree, I.max_degree + 1):
         comp = squarefree_degree_component(I, d)
         w = nonlinear_witness(comp, field)
         per_degree[d] = w is None

@@ -24,7 +24,7 @@ from math import comb
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import Graph, _bits, _covers_by_size, _mask_of
 from .homology import GF2, BettiTable, BettiWitness, nonlinear_witness
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, alexander_dual_of_edge_ideal
 
 __all__ = [
     "QuotientOrder",
@@ -365,28 +365,25 @@ class _OrderSearch:
     recursion never reindexes.  ``order`` answers exactly: a list is a
     verified order, None means no order exists (proved by a GF(2) Betti
     witness, kept in ``witnesses``, or by exhaustive search); a budget
-    overrun raises instead of guessing.
+    overrun raises instead of guessing.  Covers are enumerated up to size
+    ``top``, the largest degree asked for, since blocks only go down.
     """
 
-    def __init__(self, adj, budget=None):
+    def __init__(self, adj, top: int, budget=None):
         self.adj = adj
+        self.top = top
         self._covers = {}
         self._orders = {}
         self._colon = {}
         self.witnesses = {}
         self.spend = _budget_counter(budget) if budget is not None else None
 
-    def covers(self, active: int) -> dict:
-        got = self._covers.get(active)
-        if got is None:
-            got = _covers_by_size(self.adj, active)
-            self._covers[active] = got
-        return got
-
     def gens(self, active: int, d: int) -> list:
         if d < 0:
             return []
-        return self.covers(active).get(d, [])
+        if active not in self._covers:
+            self._covers[active] = _covers_by_size(self.adj, active, self.top)
+        return self._covers[active].get(d, [])
 
     def order(self, active: int, d: int):
         key = (active, d)
@@ -506,6 +503,7 @@ class DLQReport:
 
     A degree mapped to None has no order; ``witnesses`` holds the GF(2)
     ``BettiWitness`` that proves it, for the degrees that have one.
+    ``dual`` is the Alexander dual whose components are reported.
     """
 
     graph: Graph
@@ -513,6 +511,7 @@ class DLQReport:
     unknown: tuple = ()
     skipped: tuple = ()
     witnesses: dict = field(default_factory=dict)
+    dual: MonomialIdeal | None = None
 
     @property
     def verdict(self):
@@ -554,22 +553,39 @@ class DLQReport:
 
 
 def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -> DLQReport:
-    """Check linear quotients of every square-free degree component of the dual.
+    """Check linear quotients of the square-free degree components of the dual.
 
-    Degrees run from the minimum cover size to the vertex count.  With a
+    Degrees run from dmin to D, the least and the largest minimal-cover
+    size: by the lemma below, every component above D has linear quotients
+    (a linear resolution) when the degree-D component has.  With a
     budget, degrees whose exact search or witness scan was cut off are
     reported as unknown rather than decided.  A degree without an order
     carries its GF(2) witness when the search found one.
+
+    Lemma: let J be generated by square-free monomials of degree d and J'
+    by their square-free multiples of degree d+1.  If J has linear
+    quotients, so has J'; if J has a linear resolution over a field, so
+    has J' over that field.  Proof sketch: J is I_{Gamma^vee} for the pure
+    complex Gamma whose facets are the complements of J's generators, and
+    J' is I_{Gamma'^vee} for Gamma' the codimension-one skeleton of Gamma.
+    Skeleta of shellable complexes are shellable (Bjorner-Wachs, Trans.
+    AMS 1996), and skeleta of Cohen-Macaulay complexes are Cohen-Macaulay
+    over the same field, so the claim follows from Herzog-Hibi-Zheng
+    (Europ. J. Combin. 2004: linear quotients iff shellable) and
+    Eagon-Reiner (JPAA 1998: linear resolution iff Cohen-Macaulay), in
+    every characteristic.  For d >= D no generator of the dual has degree
+    above d, so its degree-(d+1) component is the J' of its degree-d
+    component (Herzog-Hibi, Nagoya Math. J. 1999), and each component
+    above D inherits both properties from the degree-D one.
     """
-    ctx = _OrderSearch(G.adj, budget)
+    dual = alexander_dual_of_edge_ideal(G)
+    ctx = _OrderSearch(G.adj, dual.max_degree, budget)
     full = (1 << G.n) - 1
-    sizes = ctx.covers(full)
-    dmin = min(sizes) if sizes else 0
     per_degree = {}
     unknown = []
     skipped = []
     failed = False
-    for d in range(dmin, G.n + 1):
+    for d in range(dual.min_degree, dual.max_degree + 1):
         if failed and stop_at_failure:
             skipped.append(d)
             continue
@@ -584,7 +600,7 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
         else:
             per_degree[d] = ctx.quotient_order(G.n, full, d)
     witnesses = {d: ctx.witnesses[full, d] for d in per_degree if (full, d) in ctx.witnesses}
-    return DLQReport(G, per_degree, tuple(unknown), tuple(skipped), witnesses)
+    return DLQReport(G, per_degree, tuple(unknown), tuple(skipped), witnesses, dual)
 
 
 # ---------------------------------------------------------------------------
@@ -612,7 +628,7 @@ def whisker_order(K: Graph, whisker, d: int) -> QuotientOrder:
             raise InputError(f"whisker tip {x} is adjacent to {nb}, not {y}")
     elif y is not None and not 0 <= y < K.n:
         raise InputError(f"whisker base {y} out of range")
-    ctx = _OrderSearch(K.adj)
+    ctx = _OrderSearch(K.adj, d)
     full = (1 << K.n) - 1
     if not ctx.gens(full, d):
         raise InputError(f"the degree-{d} dual component is zero")

@@ -136,7 +136,14 @@ def test_criterion_10_property_suite():
         v = is_sequentially_cm(W)
         assert v.value
         if isinstance(v.evidence, QuotientCertificates):
-            for q in v.evidence.per_degree.values():
+            # the verdict certifies degrees dmin..D; find_order completes
+            # the components above D, up to the vertex count
+            dual = alexander_dual_of_edge_ideal(W)
+            assert sorted(v.evidence.per_degree) == list(range(dual.min_degree,
+                                                               dual.max_degree + 1))
+            above = [find_order(squarefree_degree_component(dual, d))
+                     for d in range(dual.max_degree + 1, W.n + 1)]
+            for q in [*v.evidence.per_degree.values(), *above]:
                 assert verify_order(q)
                 assert betti_from_quotient_order(q).totals == \
                     betti_numbers(q.ideal, GF2).totals

@@ -7,6 +7,7 @@ from edgeideals.cli import main
 C5_TEXT = "5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
 EX43_BASE = "5 5\n1 2\n2 3\n3 4\n4 1\n1 5\n"
+STAR_TEXT = "4 3\n1 2\n1 3\n1 4\n"
 
 
 @pytest.fixture
@@ -20,6 +21,13 @@ def c5(tmp_path):
 def c4(tmp_path):
     p = tmp_path / "c4.graph"
     p.write_text(C4_TEXT)
+    return str(p)
+
+
+@pytest.fixture
+def star(tmp_path):
+    p = tmp_path / "star.graph"
+    p.write_text(STAR_TEXT)
     return str(p)
 
 
@@ -149,48 +157,74 @@ C4_WITNESS = {"kind": "betti-witness", "degree": 2, "index": 1,
               "multidegree": ["x1", "x2", "x3", "x4"]}
 
 
-def _c4_certificates(capsys, c4):
-    _, out, _ = run(capsys, "lin-quotients", c4, "--json")
+def test_c4_report_holds_its_one_degree(capsys, c4):
+    # every minimal cover of C4 has two vertices, so D = 2 is its only degree
+    code, out, _ = run(capsys, "lin-quotients", c4, "--json")
+    assert code == 1 and json.loads(out)["per_degree"] == {"2": C4_WITNESS}
+
+
+def _star_certificates(capsys, star):
+    """The K_{1,3} report: its minimal covers have one and three vertices,
+    so it certifies degrees 1, 2 and 3."""
+    _, out, _ = run(capsys, "lin-quotients", star, "--json")
     report = json.loads(out)
-    assert report["per_degree"]["2"] == C4_WITNESS
-    return report, report["per_degree"]["3"], report["per_degree"]["4"]
+    assert sorted(report["per_degree"]) == ["1", "2", "3"] and report["verdict"] is True
+    return report, report["per_degree"]["2"], report["per_degree"]["3"]
 
 
-# C4 is not SCM: its degree-2 dual component has no linear-quotients order,
-# and the degree-3 certificate must not stand in for it
+# the degree-3 certificate must not stand in for the degree-2 component
 MISFILED = "verified: false (degree 2: certificate generators do not match the graph's dual component)\n"
 
 
-def test_verify_rejects_forged_verdict_with_misfiled_certificate(capsys, tmp_path, c4):
-    _, cert3, cert4 = _c4_certificates(capsys, c4)
-    _, out, _ = run(capsys, "is-scm", c4, "--json")
+def test_verify_rejects_forged_verdict_with_misfiled_certificate(capsys, tmp_path, star):
+    report, _, cert3 = _star_certificates(capsys, star)
+    _, out, _ = run(capsys, "is-scm", star, "--json")
     verdict = json.loads(out)
-    verdict["value"] = True
+    assert verdict["value"] is True
     verdict["evidence"] = {"kind": "quotient-certificates",
-                           "per_degree": {"2": cert3, "3": cert3, "4": cert4}}
+                           "per_degree": {"1": report["per_degree"]["1"], "2": cert3, "3": cert3}}
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps(verdict))
-    assert run(capsys, "verify", c4, "--in", str(payload))[:2] == (1, MISFILED)
+    assert run(capsys, "verify", star, "--in", str(payload))[:2] == (1, MISFILED)
 
 
-def test_verify_rejects_forged_report_with_misfiled_certificate(capsys, tmp_path, c4):
-    report, cert3, _ = _c4_certificates(capsys, c4)
+def test_verify_rejects_forged_report_with_misfiled_certificate(capsys, tmp_path, star):
+    report, _, cert3 = _star_certificates(capsys, star)
     report["per_degree"]["2"] = cert3
-    report["verdict"] = True
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps(report))
-    assert run(capsys, "verify", c4, "--in", str(payload))[:2] == (1, MISFILED)
+    assert run(capsys, "verify", star, "--in", str(payload))[:2] == (1, MISFILED)
 
 
-def test_verify_rejects_degrees_outside_or_twice(capsys, tmp_path, c4):
-    report, cert3, cert4 = _c4_certificates(capsys, c4)
+def test_verify_rejects_degrees_outside_or_twice(capsys, tmp_path, star):
+    report, _, cert3 = _star_certificates(capsys, star)
     payload = tmp_path / "payload.json"
-    for per, unknown in (({**report["per_degree"], "5": cert4}, []),
+    for per, unknown in (({**report["per_degree"], "4": cert3}, []),
                          (report["per_degree"], [3]),
-                         ({"02": None, **report["per_degree"]}, [])):
+                         ({"01": None, **report["per_degree"]}, [])):
         payload.write_text(json.dumps({**report, "per_degree": per, "unknown": unknown}))
-        code, out, _ = run(capsys, "verify", c4, "--in", str(payload))
+        code, out, _ = run(capsys, "verify", star, "--in", str(payload))
         assert code == 1 and "exactly once" in out
+
+
+def test_verify_rejects_genuine_evidence_above_d(capsys, tmp_path, c4, c5):
+    # payloads as they were written when every degree up to n was reported:
+    # the certificates above D are genuine, and still refused
+    from edgeideals import (alexander_dual_of_edge_ideal, cycle_graph, find_order,
+                            squarefree_degree_component)
+    payload = tmp_path / "payload.json"
+    for path, G, source in ((c4, cycle_graph(4), "lin-quotients"), (c5, cycle_graph(5), "is-scm")):
+        _, out, _ = run(capsys, source, path, "--json")
+        data = json.loads(out)
+        per = data.get("evidence", data)["per_degree"]  # a verdict's, or a report's
+        dual = alexander_dual_of_edge_ideal(G)
+        for d in range(dual.max_degree + 1, G.n + 1):
+            q = find_order(squarefree_degree_component(dual, d))
+            assert q is not None
+            per[str(d)] = q.to_json(G.labels)
+        payload.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", path, "--in", str(payload))
+        assert code == 1 and "exactly once" in out, out
 
 
 @pytest.mark.parametrize("key, witness, why", [
@@ -201,12 +235,12 @@ def test_verify_rejects_degrees_outside_or_twice(capsys, tmp_path, c4):
     pytest.param("3", C4_WITNESS, "witness of degree 2 filed under degree 3",
                  id="wrong-degree"),
 ])
-def test_verify_rejects_forged_report_witness(capsys, tmp_path, c4, key, witness, why):
-    report, _, _ = _c4_certificates(capsys, c4)
+def test_verify_rejects_forged_report_witness(capsys, tmp_path, star, key, witness, why):
+    report, _, _ = _star_certificates(capsys, star)
     report["per_degree"][key] = witness
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps(report))
-    assert run(capsys, "verify", c4, "--in", str(payload))[:2] == (
+    assert run(capsys, "verify", star, "--in", str(payload))[:2] == (
         1, f"verified: false (degree {key}: {why})\n")
 
 
@@ -215,33 +249,36 @@ def _report_witness(d, **edit):
     return {**d, "per_degree": {**d["per_degree"], "2": {**d["per_degree"]["2"], **edit}}}
 
 
-@pytest.mark.parametrize("source, edit", [
-    pytest.param("lin-quotients", lambda d: {**d, "per_degree": {"x": None, **d["per_degree"]}},
+@pytest.mark.parametrize("graph, source, edit", [
+    pytest.param("c4", "lin-quotients",
+                 lambda d: {**d, "per_degree": {"x": None, **d["per_degree"]}},
                  id="degree-key-x"),
-    pytest.param("lin-quotients", lambda d: {**d, "unknown": ["x"]}, id="unknown-x"),
-    pytest.param("is-scm", lambda d: {**d, "evidence": {k: v for k, v in d["evidence"].items()
-                                                        if k != "degree"}},
+    pytest.param("c4", "lin-quotients", lambda d: {**d, "unknown": ["x"]}, id="unknown-x"),
+    pytest.param("c4", "is-scm",
+                 lambda d: {**d, "evidence": {k: v for k, v in d["evidence"].items()
+                                              if k != "degree"}},
                  id="witness-without-degree"),
-    pytest.param("is-scm", lambda d: {**d, "field": 2}, id="int-field"),
-    pytest.param("is-scm", lambda d: {**d, "evidence": []}, id="list-evidence"),
-    pytest.param("lin-quotients", lambda d: {**d["per_degree"]["3"], "ordered_gens": 5},
+    pytest.param("c4", "is-scm", lambda d: {**d, "field": 2}, id="int-field"),
+    pytest.param("c4", "is-scm", lambda d: {**d, "evidence": []}, id="list-evidence"),
+    pytest.param("star", "lin-quotients", lambda d: {**d["per_degree"]["3"], "ordered_gens": 5},
                  id="certificate-int-gens"),
-    pytest.param("lin-quotients", lambda d: {**d["per_degree"]["3"], "ambient": "x"},
+    pytest.param("star", "lin-quotients", lambda d: {**d["per_degree"]["3"], "ambient": "x"},
                  id="certificate-ambient-x"),
-    pytest.param("lin-quotients", lambda d: _report_witness(d, index="x"),
+    pytest.param("c4", "lin-quotients", lambda d: _report_witness(d, index="x"),
                  id="report-witness-index-x"),
-    pytest.param("lin-quotients", lambda d: _report_witness(d, degree=None),
+    pytest.param("c4", "lin-quotients", lambda d: _report_witness(d, degree=None),
                  id="report-witness-without-degree"),
-    pytest.param("lin-quotients", lambda d: _report_witness(d, multidegree=["x1", "y9"]),
+    pytest.param("c4", "lin-quotients", lambda d: _report_witness(d, multidegree=["x1", "y9"]),
                  id="report-witness-unknown-vertex"),
-    pytest.param("lin-quotients", lambda d: _report_witness(d, multidegree=4),
+    pytest.param("c4", "lin-quotients", lambda d: _report_witness(d, multidegree=4),
                  id="report-witness-int-multidegree"),
 ])
-def test_verify_malformed_payload_exits_2(capsys, tmp_path, c4, source, edit):
-    _, out, _ = run(capsys, source, c4, "--json")
+def test_verify_malformed_payload_exits_2(capsys, tmp_path, request, graph, source, edit):
+    graph = request.getfixturevalue(graph)
+    _, out, _ = run(capsys, source, graph, "--json")
     payload = tmp_path / "payload.json"
     payload.write_text(json.dumps(edit(json.loads(out))))
-    code, out, err = run(capsys, "verify", c4, "--in", str(payload))
+    code, out, err = run(capsys, "verify", graph, "--in", str(payload))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -384,11 +421,12 @@ def test_betti_json_has_multigraded_entries(capsys, c4):
 
 
 # G(7, 0.4) drawn from random.Random(12), with every vertex whiskered; the
-# hashes pin the outputs recorded before the one-pass colon kernel
+# hashes pin the outputs recorded before the one-pass colon kernel, with the
+# degrees above D = 7 (reported until evidence stopped at D) taken out
 PINNED_EDGES = [(0, 4), (0, 5), (0, 6), (1, 2), (2, 4), (2, 6), (3, 5), (4, 5), (5, 6)]
 PINNED_SHA256 = {
-    "is-cm": "69e90369a619ee13fc1624066eac0cc2b7f737953e4794dce2ccab3853c15a85",
-    "lin-quotients": "51437bae3210641ec6e74ae7108c4ce733e4e4ba5a438363340232cc52634831",
+    "is-cm": "4f247749490f1200dcbdb00460ac6039c7f76d4c60616d78e53f59a79adbf212",
+    "lin-quotients": "0c79cfbcfcec1b13bd4bf54e8bd7593da1f09d4f2bda464a71c1b12cc8d0303e",
 }
 
 
@@ -446,9 +484,10 @@ def test_verify_dlq_report_search_is_budgeted(capsys, tmp_path, monkeypatch):
 # plain G(7, 0.4) drawn from random.Random(0); the order search orders two
 # degrees of its dual along the whisker decomposition at a pendant vertex,
 # and the hash pins the output recorded before that decomposition was
-# written once for the search and whisker_order
+# written once for the search and whisker_order, with the degrees above
+# D = 4 taken out
 STRUCTURAL_EDGES = [(0, 4), (1, 3), (2, 4), (3, 4), (5, 6)]
-STRUCTURAL_SHA256 = "c59e34323365700002304e4a6290d2dbe30a3e08a7e777f7fd767215c74eb75f"
+STRUCTURAL_SHA256 = "4d57a4d7ddde23c3e9880575b16ef82d4cc1f5c63d09e822efbe87124f729e84"
 
 
 def test_structural_order_bytes_pinned(capsys, tmp_path):

@@ -4,10 +4,11 @@ import pytest
 
 from edgeideals import (GF2, GF3, QQ, Graph, InputError, add_whiskers,
                         alexander_dual_of_edge_ideal, betti_at, check_evidence,
-                        check_koszul_lift, has_dual_linear_quotients,
-                        cycle_graph, delete_vertices, is_cm, is_chordal,
-                        is_sequentially_cm, necessary_scm, path_graph,
-                        squarefree_degree_component, sufficient_scm, verify_order)
+                        check_koszul_lift, find_order, has_dual_linear_quotients,
+                        has_linear_resolution, cycle_graph, delete_vertices, is_cm,
+                        is_chordal, is_componentwise_linear, is_sequentially_cm,
+                        necessary_scm, path_graph, squarefree_degree_component,
+                        sufficient_scm, verify_order)
 from edgeideals.decide import (BettiWitness, ComponentwiseScan, QuotientCertificates,
                                ZeroIdealConvention)
 from edgeideals.monomials import Monomial
@@ -334,13 +335,16 @@ def test_check_evidence_accepts_every_verdict_and_certificate():
 
 
 def test_check_evidence_ties_each_certificate_to_its_key():
-    G = cycle_graph(5)
+    # the star K_{1,3} has minimal covers of one and three vertices, so its
+    # verdict certifies degrees 1..3
+    G = Graph(4, [(0, 1), (0, 2), (0, 3)])
     certs = has_dual_linear_quotients(G).certificates()
     data = is_sequentially_cm(G).to_json(G.labels)
-    data["evidence"]["per_degree"]["3"], data["evidence"]["per_degree"]["4"] = (
-        certs[4].to_json(G.labels), certs[3].to_json(G.labels))
+    assert sorted(data["evidence"]["per_degree"]) == ["1", "2", "3"]
+    data["evidence"]["per_degree"]["2"], data["evidence"]["per_degree"]["3"] = (
+        certs[3].to_json(G.labels), certs[2].to_json(G.labels))
     ok, why = check_evidence(G, data)
-    assert not ok and why.startswith("degree 3:")
+    assert not ok and why.startswith("degree 2:")
     with pytest.raises(InputError):
         check_evidence(G, [data])
 
@@ -367,3 +371,87 @@ def test_check_evidence_accepts_every_dlq_report():
     assert check_evidence(C4, data) == (True, "report verified")
     assert has_dual_linear_quotients(C4, budget=0).to_json()["unknown"] == [2]
     assert verdicts == {True, False, None}
+
+
+# ---------------------------------------------------------------------------
+# stopping at D, the largest minimal-cover size
+
+
+def _lemma_cases():
+    """Graphs of at most 10 vertices: each campaign sampler's G and G with
+    its S whiskered, plus random partly whiskered graphs."""
+    from edgeideals.harness import (_sample_all, _sample_bad_cycle, _sample_cover_biased,
+                                    _sample_five_cycle, _sample_near_all, _sample_plain)
+    rng = random.Random(97)
+    graphs = []
+    for sample in (_sample_plain, _sample_cover_biased, _sample_near_all, _sample_all,
+                   _sample_five_cycle, _sample_bad_cycle):
+        for _ in range(10):
+            G, S = sample(rng, 7)
+            graphs += [H for H in (G, add_whiskers(G, S)[0]) if H.n <= 10]
+    for _ in range(30):
+        n = rng.randint(4, 8)
+        G = random_graph(rng, n, rng.choice([0.3, 0.5]))
+        graphs.append(add_whiskers(G, rng.sample(range(n), rng.randint(1, min(n, 10 - n))))[0])
+    return graphs
+
+
+def test_stopping_at_d_agrees_with_every_degree():
+    # the lemma of has_dual_linear_quotients: each component above D
+    # inherits linear quotients and a linear resolution from the degree-D
+    # one, so the report and the scan, which stop at D, answer as the full
+    # computation up to the vertex count does
+    inherited = {"order": 0, GF2: 0, QQ: 0}
+    for G in _lemma_cases():
+        dual = alexander_dual_of_edge_ideal(G)
+        top = dual.max_degree
+        at_top = squarefree_degree_component(dual, top)
+        above = [squarefree_degree_component(dual, d) for d in range(top + 1, G.n + 1)]
+        report = has_dual_linear_quotients(G)
+        assert sorted(report.per_degree) == list(range(dual.min_degree, top + 1))
+        if report.per_degree[top] is not None:
+            assert all(find_order(c) is not None for c in above), G
+            inherited["order"] += bool(above)
+        full = report.verdict and all(find_order(c) is not None for c in above)
+        assert report.verdict == full, G
+        for field in (GF2, QQ):
+            scan = is_componentwise_linear(dual, field)
+            assert max(scan.per_degree) <= top
+            if has_linear_resolution(at_top, field):
+                assert all(has_linear_resolution(c, field) for c in above), (G, field)
+                inherited[field] += bool(above)
+            full = scan.verdict and all(has_linear_resolution(c, field) for c in above)
+            assert scan.verdict == full, (G, field)
+    assert min(inherited.values()) >= 100, inherited
+
+
+def test_field_pool_verdicts_match_the_recorded_reference():
+    # the G(14, 0.3) pool of the benchmark's field workload, with the
+    # verdicts recorded in perfbench/reference.json before evidence stopped at D
+    import json
+    from itertools import combinations
+    from pathlib import Path
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+                     .read_text())
+    for i in range(len(ref["verdicts"]["2"])):
+        rng = random.Random(i)
+        G = Graph(14, [(u, v) for u, v in combinations(range(14), 2) if rng.random() < 0.3])
+        for key, field in (("2", GF2), ("3", GF3), ("q", QQ)):
+            assert is_sequentially_cm(G, field).value is (ref["verdicts"][key][i] == "T"), (i, key)
+
+
+def test_scan_evidence_names_exactly_dmin_to_d():
+    # with no search budget the verdict falls back to the homological scan,
+    # which stops at D = 4; the same scan carried on to the vertex count,
+    # as it was written before, or cut short, does not verify
+    G = Graph(6, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 3), (2, 4), (2, 5), (3, 5), (4, 5)])
+    data = is_sequentially_cm(G, GF2, search_budget=0).to_json(G.labels)
+    assert data["evidence"] == {"kind": "componentwise-scan", "per_degree": {"4": True}}
+    assert check_evidence(G, data) == (True, "verdict verified")
+    dual = alexander_dual_of_edge_ideal(G)
+    for d in (5, 6):
+        assert has_linear_resolution(squarefree_degree_component(dual, d), GF2)
+    for per in ({"4": True, "5": True, "6": True}, {}):
+        data["evidence"]["per_degree"] = per
+        assert check_evidence(G, data) == (
+            False, "componentwise-scan degrees are not the dual's dmin..D")

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -8,7 +9,7 @@ from edgeideals import (Graph, InputError, RemainderClass, add_whiskers,
                         minimal_vertex_covers, parse_graph, path_graph,
                         vertex_covers_of_size)
 
-from edgeideals.graphs import _covers_by_size, _key, _minimal_cover_masks
+from edgeideals.graphs import _covers_by_size, _key, _mask_of, _minimal_cover_masks
 
 from oracles import brute_covers, brute_minimal_covers
 
@@ -236,6 +237,19 @@ def test_minimal_covers_match_oracle_and_exclude_isolated():
                 assert a == b or not a < b
 
 
+def test_minimal_cover_masks_match_oracle_on_every_small_graph():
+    # the enumeration visits only maximal independent sets; every labelled
+    # graph with at most six vertices gets the oracle's covers in canonical
+    # order (by size, then lexicographic on sorted vertices)
+    for n in range(7):
+        slots = list(combinations(range(n), 2))
+        for bits in range(1 << len(slots)):
+            G = Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
+            want = sorted((_mask_of(c) for c in brute_minimal_covers(G)),
+                          key=lambda m: (m.bit_count(), _key(m)))
+            assert _minimal_cover_masks(G.adj, (1 << n) - 1) == want, G
+
+
 def test_cover_enumeration_is_canonical_without_sorting():
     # _covers_by_size and _minimal_cover_masks rely on the enumeration order
     # of _independent_sets; the reference sort lives here
@@ -244,8 +258,13 @@ def test_cover_enumeration_is_canonical_without_sorting():
         n = rng.randint(1, 10)
         G = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6]))
         active = rng.getrandbits(n) | 1 << rng.randrange(n)
-        for size, masks in _covers_by_size(G.adj, active).items():
+        every = _covers_by_size(G.adj, active, n)
+        for size, masks in every.items():
             assert masks == sorted(masks, key=_key), (G, active, size)
+        # a top size prunes the larger covers and keeps the rest as they were
+        top = rng.randint(-1, n)
+        assert _covers_by_size(G.adj, active, top) == {
+            size: masks for size, masks in every.items() if size <= top}
         minimal = _minimal_cover_masks(G.adj, active)
         assert minimal == sorted(minimal, key=lambda m: (bin(m).count("1"), _key(m)))
 

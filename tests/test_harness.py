@@ -133,3 +133,18 @@ def test_shrink_skips_input_errors_but_propagates_defects():
 
     with pytest.raises(RuntimeError):
         _shrink(hyp, concl_defect, G, frozenset(), ())
+
+
+def test_dlq_memo_refuses_an_undecided_verdict(monkeypatch):
+    # C4's degree-2 component needs the order search; with no budget left
+    # its verdict is undecided, which must raise rather than memoise a None
+    # that the sweep would read as False
+    import edgeideals.harness
+    from edgeideals import SearchBudgetExceeded
+    monkeypatch.setattr(edgeideals.harness, "DEFAULT_SEARCH_BUDGET", 0)
+    memo = {}
+    with pytest.raises(SearchBudgetExceeded):
+        all_induced_dlq(cycle_graph(4), {}, memo)
+    assert None not in memo.values()
+    monkeypatch.undo()
+    assert all_induced_dlq(cycle_graph(4), {}, memo) is False

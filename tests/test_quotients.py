@@ -149,12 +149,22 @@ def test_colon_walk_matches_colon_oracle_on_mixed_degrees():
     assert outcomes[True] >= 5 and outcomes[False] >= 20
 
 
+def _full_certificates(G, report):
+    """The report's certificates, for degrees dmin..D, completed by
+    ``find_order`` on every dual component above D up to the vertex count."""
+    dual = alexander_dual_of_edge_ideal(G)
+    assert max(report.per_degree, default=dual.max_degree) <= dual.max_degree
+    above = {d: find_order(squarefree_degree_component(dual, d))
+             for d in range(dual.max_degree + 1, G.n + 1)}
+    return {**report.certificates(), **{d: q for d, q in above.items() if q is not None}}
+
+
 def test_identity_certificates_equal_make_order():
     rng = random.Random(79)
     identity = 0
     for G in _walk_cases(rng):
         dual = alexander_dual_of_edge_ideal(G)
-        for d, q in has_dual_linear_quotients(G).certificates().items():
+        for d, q in _full_certificates(G, has_dual_linear_quotients(G)).items():
             # the certificate's generators, read as an ideal, must pass the
             # checking constructor and equal the component built from the dual
             assert MonomialIdeal(q.ideal.ambient, q.ideal.gens) == q.ideal
@@ -172,7 +182,7 @@ def test_certificates_round_trip_through_json():
     checked = 0
     for G in _walk_cases(rng):
         report = has_dual_linear_quotients(G, budget=20_000)
-        for q in report.certificates().values():
+        for q in _full_certificates(G, report).values():
             assert QuotientOrder.from_json(q.to_json(G.labels)) == q
             checked += 1
         # the whole dual mixes degrees when G is not unmixed, which takes
@@ -310,10 +320,13 @@ def test_dlq_chordal_graphs():
 
 
 def test_dlq_c4_fails_at_degree_two():
-    report = has_dual_linear_quotients(cycle_graph(4))
+    # C4's minimal covers all have two vertices, so D = 2 is its only degree;
+    # the components above it have orders
+    G = cycle_graph(4)
+    report = has_dual_linear_quotients(G)
     assert report.verdict is False
-    assert report.per_degree[2] is None
-    assert report.per_degree[3] is not None and report.per_degree[4] is not None
+    assert report.per_degree == {2: None}
+    assert sorted(_full_certificates(G, report)) == [3, 4]
 
 
 def test_dlq_reports_are_deterministic():
@@ -330,7 +343,7 @@ def test_dlq_implies_linear_resolution():
     for _ in range(25):
         G = random_graph(rng, rng.randint(1, 7), 0.4)
         report = has_dual_linear_quotients(G)
-        for d, q in report.certificates().items():
+        for d, q in _full_certificates(G, report).items():
             comp = q.ideal
             assert has_linear_resolution(comp)
             checked += 1
@@ -540,9 +553,9 @@ def test_gf2_witness_agrees_with_the_exact_search():
         G = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
         if n < 8 and rng.random() < 0.5:
             G, _ = add_whiskers(G, rng.sample(range(n), rng.randint(1, min(n, 8 - n))))
-        ctx = _OrderSearch(G.adj)
+        ctx = _OrderSearch(G.adj, G.n)
         full = (1 << G.n) - 1
-        for d in range(min(ctx.covers(full)), G.n + 1):
+        for d in range(alexander_dual_of_edge_ideal(G).min_degree, G.n + 1):
             ctx.order(full, d)
         for (active, d), got in ctx._orders.items():
             gens = ctx.gens(active, d)
@@ -625,8 +638,13 @@ def test_witness_scan_is_charged_to_the_budget(monkeypatch):
 def test_dlq_budget_marks_unknown():
     report = has_dual_linear_quotients(cycle_graph(4), budget=0)
     assert report.verdict is None
-    assert 2 in report.unknown
-    assert report.per_degree[3] is not None  # canonical order needs no search
+    assert report.unknown == (2,) and report.per_degree == {}
+    # C4 with a pendant path x1-x5-x6: minimal covers of three and four
+    # vertices, degree 3 needs the search, degree 4 does not
+    G = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5)])
+    report = has_dual_linear_quotients(G, budget=0)
+    assert report.verdict is None and report.unknown == (3,)
+    assert report.per_degree[4] is not None  # canonical order needs no search
 
 
 def test_find_order_budget_raises():
