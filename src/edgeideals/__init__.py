@@ -20,6 +20,6 @@ from .homology import (FieldSpec, GF2, GF3, QQ, SimplicialComplex, BettiTable,
 from .decide import (Verdict, SyzygyWitness, TheoremHit, is_sequentially_cm, is_cm,
                      sufficient_scm, necessary_scm, check_koszul_lift, check_evidence)
 from .harness import (Campaign, Report, FixtureResult, run_campaign, run_fixture,
-                      all_induced_dlq, all_tip_induced_dlq, CLAIM_STATEMENTS, FIXTURE_IDS)
+                      all_induced_dlq, CLAIM_STATEMENTS, FIXTURE_IDS)
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ identical invocations; timings appear only under --timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -24,10 +25,6 @@ from .decide import DEFAULT_SEARCH_BUDGET, check_evidence, is_cm, is_sequentiall
 from .harness import Campaign, run_campaign, run_fixture, CLAIM_STATEMENTS, FIXTURE_IDS
 
 FIELD_ENV = "EDGEIDEALS_FIELD"
-
-
-def _default_field() -> str:
-    return os.environ.get(FIELD_ENV, "2")
 
 
 def _parse_vertex_list(text: str, n: int, what: str) -> list:
@@ -240,11 +237,16 @@ def _add_output_options(p, field=True):
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--timings", action="store_true", help="report elapsed time")
     if field:
-        p.add_argument("--field", default=_default_field(), metavar="q|2|3|p:<n>",
+        p.add_argument("--field", metavar="q|2|3|p:<n>",
                        help="coefficient field (default from $EDGEIDEALS_FIELD, else 2)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    ``--field`` has no parser default: ``main`` fills in $EDGEIDEALS_FIELD.
+    """
     ap = argparse.ArgumentParser(
         prog="edgeideals",
         description="Decide sequential Cohen-Macaulayness of graph edge ideals "
@@ -303,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--max-n", type=int, default=7, dest="max_n")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--field", default=_default_field(),
+    p.add_argument("--field",
                    help="comma-separated field list (default from $EDGEIDEALS_FIELD, else 2)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--timings", action="store_true")
@@ -320,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "field", "") is None:  # read when each command runs
+        args.field = os.environ.get(FIELD_ENV, "2")
     args.t0 = time.perf_counter()
     try:
         return args.fn(args)

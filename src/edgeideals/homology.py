@@ -35,6 +35,11 @@ __all__ = [
 ]
 
 
+# Prime characteristics are accepted below this cap only: primality is
+# tested by trial division, which takes a few milliseconds just below it.
+MAX_CHARACTERISTIC = 1 << 31
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -57,8 +62,11 @@ class FieldSpec:
     characteristic: int | None
 
     def __post_init__(self):
-        if self.characteristic is not None and not _is_prime(self.characteristic):
-            raise InputError(f"{self.characteristic} is not prime")
+        p = self.characteristic
+        if p is not None and p >= MAX_CHARACTERISTIC:
+            raise InputError(f"field characteristic {p} is not below 2**31")
+        if p is not None and not _is_prime(p):
+            raise InputError(f"{p} is not prime")
 
     @classmethod
     def rationals(cls) -> "FieldSpec":
@@ -76,9 +84,10 @@ class FieldSpec:
         if t.startswith("p:"):
             t = t[2:]
         try:
-            return cls(int(t))
+            p = int(t)
         except ValueError:
             raise InputError(f"bad field spec {text!r}: expected q, a prime, or p:<n>") from None
+        return cls(p)
 
     @property
     def is_rational(self) -> bool:

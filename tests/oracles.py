@@ -2,12 +2,16 @@
 
 Everything here recomputes from definitions (raw subset scans, permutation
 checks, union-find), deliberately sharing no machinery with the package
-paths it is used to check.
+paths it is used to check; the one exception, the tip-containing subgraph
+scan, calls the package's single-graph dual linear quotients check but none
+of the sweep's recursion, memo or isolated-vertex reduction.
 """
 
 from itertools import combinations, permutations
 
+from edgeideals.graphs import add_whiskers, induced_subgraph
 from edgeideals.monomials import Monomial, MonomialIdeal, colon_by_monomial
+from edgeideals.quotients import has_dual_linear_quotients
 
 
 def brute_covers(G, d):
@@ -85,6 +89,23 @@ def permutation_order_exists(supports):
         if all(naive_colon_is_linear(seq[:i], seq[i]) for i in range(1, len(seq))):
             return True
     return False
+
+
+def tip_induced_dlq_by_enumeration(G, S):
+    """Do all induced subgraphs of G with the tips of S attached that
+    contain every tip have dual linear quotients?
+
+    Scans all 2^n subsets U of G's vertices and checks the subgraph on U
+    plus every tip, tips whose base is not in U sitting isolated.
+    """
+    W, wm = add_whiskers(G, S)
+    tips = sorted(wm.tips)
+    for umask in range(1 << G.n):
+        keep = [v for v in range(G.n) if umask >> v & 1] + tips
+        if not has_dual_linear_quotients(induced_subgraph(W, keep),
+                                         stop_at_failure=True).verdict:
+            return False
+    return True
 
 
 def component_count(vertices, edges):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -378,6 +379,35 @@ def test_field_env_default(capsys, c4, monkeypatch):
     monkeypatch.setenv("EDGEIDEALS_FIELD", "3")
     code, out, _ = run(capsys, "is-scm", c4, "--json")
     assert json.loads(out)["field"] == "3"
+
+
+def test_field_env_is_read_on_every_call(capsys, c4, monkeypatch):
+    # the parser is built once per process; the default field is not
+    monkeypatch.setenv("EDGEIDEALS_FIELD", "3")
+    _, out, _ = run(capsys, "is-scm", c4, "--json")
+    assert json.loads(out)["field"] == "3"
+    monkeypatch.setenv("EDGEIDEALS_FIELD", "q")
+    _, out, _ = run(capsys, "is-scm", c4, "--json")
+    assert json.loads(out)["field"] == "q"
+    monkeypatch.delenv("EDGEIDEALS_FIELD")
+    _, out, _ = run(capsys, "is-scm", c4, "--json")
+    assert json.loads(out)["field"] == "2"
+
+
+def test_huge_field_characteristic_exits_2_fast(capsys, c4, tmp_path):
+    # 2**61 - 1 is prime: trial division would try about 7.6e8 odd divisors
+    huge = str(2 ** 61 - 1)
+    _, out, _ = run(capsys, "is-scm", c4, "--json")
+    payload = json.loads(out)
+    payload["field"] = huge
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(payload))
+    t0 = time.perf_counter()
+    code, _, err = run(capsys, "verify", c4, "--in", str(path))
+    assert code == 2 and "2**31" in err
+    code, _, err = run(capsys, "is-scm", c4, "--field", huge)
+    assert code == 2 and "2**31" in err
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_fixture_subcommand(capsys):

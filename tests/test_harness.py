@@ -1,12 +1,14 @@
 import json
+import random
 
 import pytest
 
 from edgeideals import (Campaign, Graph, InputError, all_induced_dlq,
-                        all_tip_induced_dlq, cycle_graph, delete_vertices,
+                        cycle_graph, delete_vertices,
                         has_dual_linear_quotients, run_campaign, run_fixture,
                         CLAIM_STATEMENTS, FIXTURE_IDS)
-from edgeideals.harness import _shrink, _graph_key
+from edgeideals.harness import _random_graph, _shrink
+from oracles import tip_induced_dlq_by_enumeration
 
 
 @pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
@@ -88,8 +90,24 @@ def test_tip_equivalence_counterexample_to_naive_reading():
     G = cycle_graph(4)
     S = frozenset({0})
     assert all_induced_dlq(delete_vertices(G, S))
-    assert all_tip_induced_dlq(G, S)
+    assert all_induced_dlq(G, S=S)
     assert not all_induced_dlq(G)
+
+
+def test_whiskered_side_matches_the_enumeration():
+    # the recursion drops isolated tips; the oracle keeps every tip in each
+    # of the 2^n subgraphs it checks
+    rng = random.Random(71)
+    all_memo, dlq_memo = {}, {}
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        G = _random_graph(rng, n, 0.5)
+        S = frozenset(v for v in range(n) if rng.random() < 0.3)
+        got = all_induced_dlq(G, all_memo, dlq_memo, S=S)
+        assert got == tip_induced_dlq_by_enumeration(G, S), (G, S)
+        seen.add(got)
+    assert seen == {True, False}
 
 
 def test_shrink_produces_minimal_failure():
@@ -108,9 +126,10 @@ def test_shrink_produces_minimal_failure():
 
 
 def test_graph_key_reindexes():
+    # the sweep's memo keys are adjacency tuples of reindexed subgraphs
     G = Graph(4, [(1, 2), (2, 3)])
     H = delete_vertices(G, [0])
-    assert _graph_key(H) == (3, ((0, 1), (1, 2)))
+    assert H.adj == Graph(3, [(0, 1), (1, 2)]).adj == (0b010, 0b101, 0b010)
 
 
 def test_shrink_skips_input_errors_but_propagates_defects():

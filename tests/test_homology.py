@@ -41,6 +41,10 @@ def test_field_spec_parse_and_validate():
         FieldSpec.parse("6")
     with pytest.raises(InputError):
         FieldSpec.prime(1)
+    # primality is trial division, so characteristics stop below 2**31
+    assert FieldSpec.prime(2 ** 31 - 1).characteristic == 2 ** 31 - 1
+    with pytest.raises(InputError, match="2\\*\\*31"):
+        FieldSpec.prime(2 ** 61 - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -480,13 +480,11 @@ def test_subgraph_induction_claim_desk_scale():
     rng = random.Random(61)
     tried = 0
     memo = {}
-    from edgeideals.harness import _graph_key
 
     def dlq(H):
-        key = _graph_key(H)
-        if key not in memo:
-            memo[key] = has_dual_linear_quotients(H).verdict
-        return memo[key]
+        if H.adj not in memo:
+            memo[H.adj] = has_dual_linear_quotients(H).verdict
+        return memo[H.adj]
 
     while tried < 6:
         n = rng.randint(1, 4)
@@ -516,8 +514,27 @@ def test_subgraph_induction_claim_desk_scale():
         tried += 1
 
 
+def test_isolated_vertex_keeps_the_dlq_verdict():
+    # the lemma at harness.all_induced_dlq, on every labelled graph with at
+    # most five vertices and on random larger ones
+    from itertools import combinations
+    graphs = []
+    for n in range(6):
+        slots = list(combinations(range(n), 2))
+        for bits in range(1 << len(slots)):
+            graphs.append(Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1]))
+    rng = random.Random(73)
+    graphs += [random_graph(rng, rng.randint(6, 9), 0.4) for _ in range(200)]
+    verdicts = set()
+    for G in graphs:
+        v = has_dual_linear_quotients(G).verdict
+        assert has_dual_linear_quotients(Graph(G.n + 1, G.edges())).verdict == v, G
+        verdicts.add(v)
+    assert verdicts == {True, False}
+
+
 def test_tip_equivalence_random():
-    from edgeideals import all_induced_dlq, all_tip_induced_dlq
+    from edgeideals import all_induced_dlq
     rng = random.Random(67)
     all_memo = {}
     dlq_memo = {}
@@ -526,7 +543,7 @@ def test_tip_equivalence_random():
         G = random_graph(rng, n, 0.45)
         S = frozenset(v for v in range(n) if rng.random() < 0.5)
         lhs = all_induced_dlq(delete_vertices(G, S), all_memo, dlq_memo)
-        rhs = all_tip_induced_dlq(G, S, dlq_memo)
+        rhs = all_induced_dlq(G, all_memo, dlq_memo, S=S)
         assert lhs == rhs
 
 
