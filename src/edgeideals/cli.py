@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_options(p)
     p.add_argument("--in", dest="infile", default="-", metavar="FILE",
                    help="JSON payload to verify (default stdin)")
-    _add_output_options(p)
+    _add_output_options(p, field=False)  # the payload names its own field
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("verify-theorem", help="run a randomized verification campaign")

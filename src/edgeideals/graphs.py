@@ -8,6 +8,7 @@ and the subgraph recursions elsewhere in the package cheap.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -51,6 +52,54 @@ def _key(mask: int) -> tuple:
     return tuple(_bits(mask))
 
 
+@functools.cache
+def _default_labels(n: int) -> tuple:
+    """The display labels x1..xn of vertices (or variables) 0..n-1."""
+    return tuple(f"x{i + 1}" for i in range(n))
+
+
+def _drop(mask: int, v: int) -> int:
+    """``mask`` without bit v: the bits below v stay, those above move down one."""
+    low = (1 << v) - 1
+    return mask & low | mask >> 1 & ~low
+
+
+def _delete_adj(adj: tuple, gone: int) -> tuple:
+    """The adjacency tuple without the vertices in ``gone``, reindexed by
+    ``_drop`` from the highest down so the lower indices hold still."""
+    while gone:
+        v = gone.bit_length() - 1
+        adj = tuple(_drop(a, v) for a in adj[:v] + adj[v + 1:])
+        gone ^= 1 << v
+    return adj
+
+
+def _whiskered_adj(adj: tuple, bases: int) -> tuple:
+    """The adjacency tuple with one pendant vertex appended per bit of
+    ``bases``, in ascending order of its base."""
+    n = len(adj)
+    out = list(adj)
+    for i, b in enumerate(_bits(bases)):
+        out[b] |= 1 << (n + i)
+        out.append(1 << b)
+    return tuple(out)
+
+
+def _induces_one_cycle(adj, verts: int) -> bool:
+    """Does ``verts`` induce a single cycle, that is, a nonempty 2-regular
+    connected subgraph?"""
+    if not verts or any((adj[v] & verts).bit_count() != 2 for v in _bits(verts)):
+        return False
+    seen = frontier = verts & -verts
+    while frontier:
+        reach = 0
+        for u in _bits(frontier):
+            reach |= adj[u]
+        frontier = reach & verts & ~seen
+        seen |= frontier
+    return seen == verts
+
+
 class Graph:
     """Immutable simple graph (no loops, no multiple edges)."""
 
@@ -70,7 +119,7 @@ class Graph:
         self.n = n
         self.adj = tuple(adj)
         if labels is None:
-            labels = tuple(f"x{i + 1}" for i in range(n))
+            labels = _default_labels(n)
         else:
             labels = tuple(labels)
             if len(labels) != n:
@@ -159,22 +208,15 @@ class RemainderClass(enum.Enum):
 
 def induced_subgraph(G: Graph, vertices) -> Graph:
     """Subgraph on ``vertices``, reindexed to 0..k-1 in ascending order."""
-    mask = G._check_vertices(vertices)
-    keep = list(_bits(mask))
-    pos = {v: i for i, v in enumerate(keep)}
-    adj = []
-    for v in keep:
-        a = 0
-        for w in _bits(G.adj[v] & mask):
-            a |= 1 << pos[w]
-        adj.append(a)
-    labels = tuple(G.labels[v] for v in keep)
-    return Graph._from_adj(tuple(adj), labels)
+    keep = G._check_vertices(vertices)
+    return Graph._from_adj(_delete_adj(G.adj, ((1 << G.n) - 1) & ~keep),
+                           tuple(G.labels[v] for v in _bits(keep)))
 
 
 def delete_vertices(G: Graph, vertices) -> Graph:
-    mask = G._check_vertices(vertices)
-    return induced_subgraph(G, [v for v in range(G.n) if not mask >> v & 1])
+    gone = G._check_vertices(vertices)
+    return Graph._from_adj(_delete_adj(G.adj, gone),
+                           tuple(l for v, l in enumerate(G.labels) if not gone >> v & 1))
 
 
 def add_whiskers(G: Graph, S, tip_labels=None):
@@ -184,22 +226,15 @@ def add_whiskers(G: Graph, S, tip_labels=None):
     of their base vertex.  Returns the new graph and the base/tip pairing.
     """
     mask = G._check_vertices(S)
-    bases = list(_bits(mask))
-    n = G.n
+    n, k = G.n, mask.bit_count()
     if tip_labels is None:
-        tip_labels = [f"x{n + i + 1}" for i in range(len(bases))]
+        tip_labels = _default_labels(n + k)[n:]
     else:
-        tip_labels = list(tip_labels)
-        if len(tip_labels) != len(bases):
+        tip_labels = tuple(tip_labels)
+        if len(tip_labels) != k:
             raise InputError("tip label count does not match whisker count")
-    edges = list(G.edges())
-    pairs = []
-    for i, b in enumerate(bases):
-        tip = n + i
-        edges.append((b, tip))
-        pairs.append((b, tip))
-    H = Graph(n + len(bases), edges, labels=list(G.labels) + tip_labels)
-    return H, WhiskerMap(tuple(pairs))
+    H = Graph._from_adj(_whiskered_adj(G.adj, mask), G.labels + tip_labels)
+    return H, WhiskerMap(tuple((b, n + i) for i, b in enumerate(_bits(mask))))
 
 
 # ---------------------------------------------------------------------------
@@ -279,23 +314,6 @@ def is_chordal(G: Graph) -> ChordalityResult:
     return ChordalityResult(False, chordless_cycle=cycle)
 
 
-def _is_five_cycle(G: Graph, vertices) -> bool:
-    verts = list(vertices)
-    if len(verts) != 5 or any(bin(G.adj[v] & _mask_of(verts)).count("1") != 2 for v in verts):
-        return False
-    # 2-regular on 5 vertices forces a single 5-cycle; walk it to be sure
-    start = verts[0]
-    seen = {start}
-    prev, cur = None, start
-    for _ in range(4):
-        nxt = [w for w in _bits(G.adj[cur]) if w != prev and w in set(verts)]
-        if not nxt:
-            return False
-        prev, cur = cur, nxt[0]
-        seen.add(cur)
-    return len(seen) == 5 and G.has_edge(cur, start)
-
-
 def classify_remainder(G: Graph, S) -> RemainderClass:
     """Classify G minus S as chordal, a five-cycle, or neither.
 
@@ -303,8 +321,8 @@ def classify_remainder(G: Graph, S) -> RemainderClass:
     they carry no edges and hence no edge-ideal generators.
     """
     H = delete_vertices(G, S)
-    support = [v for v in range(H.n) if H.adj[v] != 0]
-    if _is_five_cycle(H, support):
+    support = _mask_of(v for v in range(H.n) if H.adj[v])
+    if support.bit_count() == 5 and _induces_one_cycle(H.adj, support):
         return RemainderClass.FIVE_CYCLE
     if is_chordal(H).chordal:
         return RemainderClass.CHORDAL

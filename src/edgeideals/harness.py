@@ -15,7 +15,8 @@ from itertools import combinations
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
                      cycle_graph, delete_vertices, format_graph, is_chordal,
-                     path_graph, _bits)
+                     path_graph, _bits, _default_labels, _delete_adj, _drop,
+                     _induces_one_cycle, _whiskered_adj)
 from .monomials import MonomialIdeal, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, make_order,
                         verify_order, search_stats)
@@ -235,21 +236,8 @@ def _hyp_not_scm_remainder(G, S):
 
 
 def _hyp_bad_cycle(G, S):
-    H = delete_vertices(G, S)
-    if H.n not in (4, 6, 7) or any(H.degree(v) != 2 for v in range(H.n)):
-        return False
-    # connected and 2-regular: a single cycle
-    visited = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in _bits(H.adj[u]):
-                if w not in visited:
-                    visited.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(visited) == H.n
+    rest = ((1 << G.n) - 1) & ~G._check_vertices(S)
+    return rest.bit_count() in (4, 6, 7) and _induces_one_cycle(G.adj, rest)
 
 
 def _concl_scm_true(G, S, fields):
@@ -385,16 +373,17 @@ def run_campaign(campaign: Campaign) -> Report:
 # the exhaustive equivalence sweep
 
 
-def all_induced_dlq(G: Graph, all_memo=None, dlq_memo=None, *, S=()) -> bool:
+def all_induced_dlq(G: Graph, memo=None, *, S=()) -> bool:
     """Does whisker(G[U], S & U) have dual linear quotients for every U?
 
     U ranges over all vertex subsets of G, so with S empty this asks
     whether every induced subgraph of G has dual linear quotients.  The
     recursion deletes one vertex at a time and decides each graph's own
-    verdict only when all its one-vertex deletions pass.  ``all_memo``
-    maps (G.adj, S-mask) to the answer for all subsets and ``dlq_memo``
-    maps a checked graph's ``adj`` to its verdict; both may be shared
-    across calls.
+    verdict only when all its one-vertex deletions pass.  It works on
+    adjacency tuples and S-masks, reindexed by ``graphs._drop``, and builds
+    no ``Graph`` but the one whose dual it checks.  ``memo`` maps
+    (adjacency tuple, S-mask) to the answer for all subsets and may be
+    shared across calls.
 
     With S nonempty this is the whiskered side of Theorem 3.7: an induced
     subgraph of G with the tips of S attached that keeps every tip is
@@ -414,27 +403,24 @@ def all_induced_dlq(G: Graph, all_memo=None, dlq_memo=None, *, S=()) -> bool:
     w - u, so z is not x, and the predecessor p with p - u = {z} cannot
     contain x, so z is a colon variable of the x-free prefix too.
     """
-    if all_memo is None:
-        all_memo = {}
-    if dlq_memo is None:
-        dlq_memo = {}
-    key = (G.adj, G._check_vertices(S))
-    got = all_memo.get(key)
+    return _all_induced_dlq(G.adj, G._check_vertices(S), {} if memo is None else memo)
+
+
+def _all_induced_dlq(adj: tuple, smask: int, memo: dict) -> bool:
+    key = (adj, smask)
+    got = memo.get(key)
     if got is not None:
         return got
-    ok = all(all_induced_dlq(delete_vertices(G, [v]), all_memo, dlq_memo,
-                             S=[w - (w > v) for w in S if w != v])
-             for v in range(G.n))
+    ok = all(_all_induced_dlq(_delete_adj(adj, 1 << v), _drop(smask, v), memo)
+             for v in range(len(adj)))
     if ok:
-        W, _ = add_whiskers(G, S)
-        ok = dlq_memo.get(W.adj)
-        if ok is None:
-            ok = has_dual_linear_quotients(W, budget=DEFAULT_SEARCH_BUDGET,
-                                           stop_at_failure=True).verdict
-            if ok is None:  # undecided within the budget, which must not read as False
-                raise SearchBudgetExceeded(f"dual linear quotients of {W!r} undecided")
-            dlq_memo[W.adj] = ok
-    all_memo[key] = ok
+        wadj = _whiskered_adj(adj, smask)
+        W = Graph._from_adj(wadj, _default_labels(len(wadj)))
+        ok = has_dual_linear_quotients(W, budget=DEFAULT_SEARCH_BUDGET,
+                                       stop_at_failure=True).verdict
+        if ok is None:  # undecided within the budget, which must not read as False
+            raise SearchBudgetExceeded(f"dual linear quotients of {W!r} undecided")
+    memo[key] = ok
     return ok
 
 
@@ -452,22 +438,21 @@ def _run_t37(campaign: Campaign) -> Report:
     """
     report = Report(campaign, CLAIM_STATEMENTS["T3.7"])
     limit = min(campaign.max_n, 5)
-    all_memo = {}
-    dlq_memo = {}
+    memo = {}
     for n in range(1, limit + 1):
         slots = list(combinations(range(n), 2))
         for bits in range(1 << len(slots)):
             edges = [slots[i] for i in range(len(slots)) if bits >> i & 1]
             G = Graph(n, edges)
             for smask in range(1 << n):
-                S = frozenset(v for v in range(n) if smask >> v & 1)
-                lhs = all_induced_dlq(delete_vertices(G, S), all_memo, dlq_memo)
-                rhs = all_induced_dlq(G, all_memo, dlq_memo, S=S)
+                lhs = _all_induced_dlq(_delete_adj(G.adj, smask), 0, memo)
+                rhs = _all_induced_dlq(G.adj, smask, memo)
                 if lhs == rhs:
                     report.passed += 1
                 else:
                     report.failed += 1
                     detail = f"remainder side {lhs}, whiskered side {rhs}"
+                    S = frozenset(_bits(smask))
                     report.failures.append(_counterexample("T3.7", report.passed + report.failed,
                                                            detail, G, S))
     return report

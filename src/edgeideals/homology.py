@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .graphs import _bits, _key
+from .graphs import _bits, _default_labels, _key
 from .monomials import Monomial, MonomialIdeal, squarefree_degree_component
 
 __all__ = [
@@ -374,7 +374,7 @@ class BettiTable:
         }
         if self.entries is not None:
             if labels is None:
-                labels = [f"x{i + 1}" for i in range(self.ambient)]
+                labels = _default_labels(self.ambient)
             out["multigraded"] = [
                 [i, [labels[v] for v in sorted(b)], r]
                 for (i, b), r in sorted(self.entries.items(), key=lambda kv: (kv[0][0], sorted(kv[0][1])))

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import InputError
-from .graphs import Graph, _bits, _mask_of, _minimal_cover_masks
+from .graphs import Graph, _bits, _default_labels, _mask_of, _minimal_cover_masks
 
 __all__ = [
     "Monomial",
@@ -87,7 +87,7 @@ class Monomial:
     def __repr__(self):
         if self.mask == 0:
             return "Monomial(1)"
-        return "Monomial(" + ",".join(f"x{v + 1}" for v in _bits(self.mask)) + ")"
+        return "Monomial(" + ",".join(self.names(_default_labels(self.mask.bit_length()))) + ")"
 
 
 class MonomialIdeal:
@@ -200,7 +200,7 @@ class MonomialIdeal:
 
     def to_json(self, labels=None) -> dict:
         if labels is None:
-            labels = [f"x{i + 1}" for i in range(self.ambient)]
+            labels = _default_labels(self.ambient)
         return {
             "ambient": self.ambient,
             "vars": list(labels),

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import Graph, _bits, _covers_by_size, _mask_of
+from .graphs import Graph, _bits, _covers_by_size, _default_labels, _mask_of
 from .homology import GF2, BettiTable, BettiWitness, nonlinear_witness
 from .monomials import Monomial, MonomialIdeal, alexander_dual_of_edge_ideal
 
@@ -156,7 +156,7 @@ class QuotientOrder:
 
     def to_json(self, labels=None) -> dict:
         if labels is None:
-            labels = [f"x{i + 1}" for i in range(self.ambient)]
+            labels = _default_labels(self.ambient)
         return {
             "ambient": self.ambient,
             "vars": list(labels),

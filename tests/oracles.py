@@ -123,6 +123,18 @@ def component_count(vertices, edges):
     return len({find(v) for v in vertices})
 
 
+def induces_one_cycle_by_union_find(G, vertices):
+    """Does ``vertices`` induce one cycle: every vertex of degree 2 within
+    it, and one union-find component?"""
+    vs = set(vertices)
+    edges = [(u, v) for u, v in G.edges() if u in vs and v in vs]
+    degree = {v: 0 for v in vs}
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    return bool(vs) and set(degree.values()) == {2} and component_count(vs, edges) == 1
+
+
 def koszul_faces_by_scan(gen_supports, b):
     """Faces of the upper Koszul complex by scanning all subsets of b."""
     b = frozenset(b)

@@ -410,6 +410,18 @@ def test_huge_field_characteristic_exits_2_fast(capsys, c4, tmp_path):
     assert time.perf_counter() - t0 < 0.5
 
 
+def test_verify_takes_no_field_option(capsys, c4, tmp_path):
+    # the payload's own "field" decides the re-check, so a --field that
+    # could disagree with it is refused by the parser
+    _, out, _ = run(capsys, "is-scm", c4, "--json")
+    path = tmp_path / "gf2.json"
+    path.write_text(out)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", c4, "--in", str(path), "--field", "q"])
+    assert exc.value.code == 2
+    assert run(capsys, "verify", c4, "--in", str(path))[0] == 0
+
+
 def test_fixture_subcommand(capsys):
     code, out, _ = run(capsys, "fixture", "EX3.9")
     assert code == 0 and "PASS" in out

@@ -9,9 +9,10 @@ from edgeideals import (Graph, InputError, RemainderClass, add_whiskers,
                         minimal_vertex_covers, parse_graph, path_graph,
                         vertex_covers_of_size)
 
-from edgeideals.graphs import _covers_by_size, _key, _mask_of, _minimal_cover_masks
+from edgeideals.graphs import (_covers_by_size, _induces_one_cycle, _key, _mask_of,
+                               _minimal_cover_masks)
 
-from oracles import brute_covers, brute_minimal_covers
+from oracles import brute_covers, brute_minimal_covers, induces_one_cycle_by_union_find
 
 
 def ex38_base():
@@ -98,6 +99,32 @@ def test_whisker_then_delete_roundtrip():
         assert out == delete_vertices(G, S)
 
 
+def test_reindexing_and_whiskering_match_the_validating_constructor():
+    # the mask arithmetic of induced_subgraph, delete_vertices and
+    # add_whiskers against Graph(n, edges, labels) on relabelled edges
+    rng = random.Random(29)
+    for trial in range(300):
+        n = rng.randint(0, 12)
+        G = random_graph(rng, n, rng.choice((0.2, 0.5, 0.8)))
+        if trial % 2:
+            G = Graph(n, G.edges(), labels=[f"v{rng.randrange(100)}" for _ in range(n)])
+        keep = [v for v in range(n) if rng.random() < 0.6]
+        gone = [v for v in range(n) if v not in keep]
+        new = {v: i for i, v in enumerate(keep)}
+        want = Graph(len(keep), [(new[u], new[v]) for u, v in G.edges()
+                                 if u in new and v in new],
+                     labels=[G.labels[v] for v in keep])
+        assert induced_subgraph(G, keep) == want
+        assert delete_vertices(G, gone) == want
+        S = [v for v in range(n) if rng.random() < 0.4]
+        pairs = tuple((b, n + i) for i, b in enumerate(S))
+        tips = [f"x{n + i + 1}" for i in range(len(S))]
+        W, wm = add_whiskers(G, S)
+        assert W == Graph(n + len(S), list(G.edges()) + list(pairs),
+                          labels=list(G.labels) + tips)
+        assert wm.pairs == pairs
+
+
 # ---------------------------------------------------------------------------
 # chordality
 
@@ -176,6 +203,20 @@ def test_classify_remainder_ignores_isolated_for_five_cycle():
     assert classify_remainder(G, [5, 6]) is RemainderClass.FIVE_CYCLE
     # vertex 5 survives S but is isolated once 6 is gone
     assert classify_remainder(G, [6]) is RemainderClass.FIVE_CYCLE
+
+
+def test_one_cycle_check_matches_union_find_on_every_small_graph():
+    # every labelled graph with at most six vertices, on every vertex subset
+    # for up to five vertices and on the whole vertex set at six
+    for n in range(7):
+        slots = list(combinations(range(n), 2))
+        subsets = range(1 << n) if n < 6 else [(1 << n) - 1]
+        for bits in range(1 << len(slots)):
+            G = Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
+            for verts in subsets:
+                assert (_induces_one_cycle(G.adj, verts)
+                        == induces_one_cycle_by_union_find(G, [v for v in range(n)
+                                                               if verts >> v & 1])), (G, verts)
 
 
 # ---------------------------------------------------------------------------

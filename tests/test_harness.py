@@ -72,8 +72,8 @@ def test_all_induced_dlq_small():
 
 def test_all_induced_dlq_matches_direct_enumeration():
     G = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4), (3, 4)])
-    memo_all, memo_dlq = {}, {}
-    got = all_induced_dlq(G, memo_all, memo_dlq)
+    memo = {}
+    got = all_induced_dlq(G, memo)
     direct = True
     for mask in range(1 << G.n):
         keep = [v for v in range(G.n) if mask >> v & 1]
@@ -98,13 +98,13 @@ def test_whiskered_side_matches_the_enumeration():
     # the recursion drops isolated tips; the oracle keeps every tip in each
     # of the 2^n subgraphs it checks
     rng = random.Random(71)
-    all_memo, dlq_memo = {}, {}
+    memo = {}
     seen = set()
     for _ in range(60):
         n = rng.randint(3, 6)
         G = _random_graph(rng, n, 0.5)
         S = frozenset(v for v in range(n) if rng.random() < 0.3)
-        got = all_induced_dlq(G, all_memo, dlq_memo, S=S)
+        got = all_induced_dlq(G, memo, S=S)
         assert got == tip_induced_dlq_by_enumeration(G, S), (G, S)
         seen.add(got)
     assert seen == {True, False}
@@ -163,7 +163,21 @@ def test_dlq_memo_refuses_an_undecided_verdict(monkeypatch):
     monkeypatch.setattr(edgeideals.harness, "DEFAULT_SEARCH_BUDGET", 0)
     memo = {}
     with pytest.raises(SearchBudgetExceeded):
-        all_induced_dlq(cycle_graph(4), {}, memo)
-    assert None not in memo.values()
+        all_induced_dlq(cycle_graph(4), memo)
+    assert memo and None not in memo.values()
     monkeypatch.undo()
-    assert all_induced_dlq(cycle_graph(4), {}, memo) is False
+    assert all_induced_dlq(cycle_graph(4), memo) is False
+
+
+def test_sweep_builds_no_subgraph_or_whiskered_graph(monkeypatch):
+    # the recursion reindexes adjacency tuples itself; neither graph
+    # builder may be reached from the T3.7 sweep
+    import edgeideals.harness
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("graph builder called inside the sweep")
+
+    monkeypatch.setattr(edgeideals.harness, "delete_vertices", refuse)
+    monkeypatch.setattr(edgeideals.harness, "add_whiskers", refuse)
+    report = run_campaign(Campaign("T3.7", max_n=3))
+    assert report.failed == 0 and report.passed == 2 + 4 * 2 + 8 * 8  # (G, S) pairs

@@ -536,14 +536,13 @@ def test_isolated_vertex_keeps_the_dlq_verdict():
 def test_tip_equivalence_random():
     from edgeideals import all_induced_dlq
     rng = random.Random(67)
-    all_memo = {}
-    dlq_memo = {}
+    memo = {}
     for _ in range(20):
         n = rng.randint(1, 6)
         G = random_graph(rng, n, 0.45)
         S = frozenset(v for v in range(n) if rng.random() < 0.5)
-        lhs = all_induced_dlq(delete_vertices(G, S), all_memo, dlq_memo)
-        rhs = all_induced_dlq(G, all_memo, dlq_memo, S=S)
+        lhs = all_induced_dlq(delete_vertices(G, S), memo)
+        rhs = all_induced_dlq(G, memo, S=S)
         assert lhs == rhs
 
 
