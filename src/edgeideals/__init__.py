@@ -8,9 +8,8 @@ from .graphs import (Graph, WhiskerMap, ChordalityResult, RemainderClass,
                      induced_subgraph, delete_vertices, add_whiskers, is_chordal,
                      classify_remainder, vertex_covers_of_size, minimal_vertex_covers,
                      is_unmixed, parse_graph, format_graph, cycle_graph, path_graph)
-from .monomials import (Monomial, MonomialIdeal, minimalize, edge_ideal,
-                        alexander_dual_of_edge_ideal, squarefree_degree_component,
-                        colon_by_monomial)
+from .monomials import (Monomial, MonomialIdeal, edge_ideal,
+                        alexander_dual_of_edge_ideal, squarefree_degree_component)
 from .quotients import (QuotientOrder, DLQReport, make_order, verify_order, find_order,
                         has_dual_linear_quotients, whisker_order, betti_from_quotient_order)
 from .homology import (FieldSpec, GF2, GF3, QQ, SimplicialComplex, BettiTable,

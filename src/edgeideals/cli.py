@@ -303,7 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", choices=sorted(CLAIM_STATEMENTS),
                    help="claim identifier")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--max-n", type=int, default=7, dest="max_n")
+    p.add_argument("--max-n", type=int, default=7, dest="max_n",
+                   help="T3.7 sweeps every graph and subset exhaustively through "
+                        "min(max-n, 6) vertices; the other claims sample graphs with "
+                        "up to max-n vertices (default 7)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--field",
                    help="comma-separated field list (default from $EDGEIDEALS_FIELD, else 2)")

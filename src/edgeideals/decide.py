@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, add_whiskers, delete_vertices, classify_remainder,
-                     RemainderClass, _bits)
-from .monomials import Monomial, alexander_dual_of_edge_ideal, squarefree_degree_component
+                     RemainderClass, _bits, _mask_of)
+from .monomials import (Monomial, MonomialIdeal, alexander_dual_of_edge_ideal,
+                        squarefree_degree_component)
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, FieldSpec, GF2, betti_at, is_componentwise_linear,
                        upper_koszul_complex)
@@ -325,8 +327,12 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     """Why a betti-witness payload fails to re-check, or None when its
     Betti number, recomputed with ``betti_at`` over ``field``, is nonzero
     off the linear strand.  ``key`` is the degree it is filed under, if any.
-    Raises SearchBudgetExceeded when the upper Koszul complex at the
-    witness may have more than ``DEFAULT_SEARCH_BUDGET`` faces.
+    A degree outside dmin..D is refused unbuilt: the components below dmin
+    are zero and those above D have linear quotients (the lemma of
+    ``has_dual_linear_quotients``), so neither has a nonlinear Betti
+    number.  Raises SearchBudgetExceeded, before the complex is built, when
+    the upper Koszul complex at the witness may have more than
+    ``DEFAULT_SEARCH_BUDGET`` faces.
     """
     d = _int(ev.get("degree"), "witness degree")
     i = _int(ev.get("index"), "witness index")
@@ -340,13 +346,26 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
         return f"witness of degree {d} filed under degree {key}"
     if len(b) == d + i:
         return "witness multidegree lies on the linear strand"
-    comp = squarefree_degree_component(dual, d)
+    if not dual.min_degree <= d <= dual.max_degree:
+        return f"witness degree {d} lies outside the dual's degrees " \
+               f"{dual.min_degree}..{dual.max_degree}"
     x_b = Monomial(b)
-    # each of the F generators dividing x^b leaves a facet of |b| - d vertices
-    F = sum(g.mask & ~x_b.mask == 0 for g in comp.gens)
-    if F and F << (len(b) - d) > DEFAULT_SEARCH_BUDGET:
-        raise SearchBudgetExceeded(f"witness complex may have {F << (len(b) - d)} faces, "
-                                   f"over {DEFAULT_SEARCH_BUDGET}")
+    # the complex at b sees only the generators of the degree-d component
+    # dividing x^b: the d-subsets of b that hold a generator of the dual.
+    # Each of these F leaves a facet of |b| - d vertices, so F is counted
+    # only up to the bound, with no component built
+    limit = DEFAULT_SEARCH_BUDGET >> max(len(b) - d, 0)
+    inside = set()
+    for g in dual.gens:
+        if g.mask & ~x_b.mask == 0 and g.degree <= d:
+            for extra in combinations(_bits(x_b.mask & ~g.mask), d - g.degree):
+                inside.add(g.mask | _mask_of(extra))
+                if len(inside) > limit:
+                    raise SearchBudgetExceeded(
+                        f"witness complex may have over {DEFAULT_SEARCH_BUDGET} faces: more "
+                        f"than {limit} generators divide x^b, each leaving {len(b) - d} vertices")
+    comp = MonomialIdeal._from_canonical(dual.ambient, sorted(
+        map(Monomial.from_mask, inside), key=lambda g: g.sort_key))
     if betti_at(comp, x_b, i, field) == 0:
         return "witness Betti number vanishes on re-computation"
     return None

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, groupby, permutations, product
 
 from .errors import InputError
 
@@ -85,6 +85,41 @@ def _whiskered_adj(adj: tuple, bases: int) -> tuple:
     return tuple(out)
 
 
+def _canonical(adj: tuple, smask: int) -> tuple:
+    """The canonical form (adjacency tuple, S-mask, |Aut(G, S)|) of the
+    graph ``adj`` with the vertex set ``smask``.
+
+    Vertices are sorted into classes by the invariant (S bit, degree,
+    sorted neighbour degrees), the classes in invariant order, and every
+    permutation inside each class is tried: the form is the least adjacency
+    tuple reached, with the S-mask the class order fixes, and the count is
+    the number of these relabellings that reach it.  It is exact: the
+    classes and their order are isomorphism invariants, so isomorphic
+    pairs reach the same least tuple, and the relabellings that reach it
+    form one coset of Aut(G, S), which preserves the classes.
+    """
+    n = len(adj)
+    degree = [a.bit_count() for a in adj]
+    nbrs = [tuple(_bits(a)) for a in adj]
+    invariant = [(smask >> v & 1, degree[v], sorted(degree[u] for u in nbrs[v]))
+                 for v in range(n)]
+    order = sorted(range(n), key=invariant.__getitem__)
+    canon_smask = _mask_of(i for i, v in enumerate(order) if smask >> v & 1)
+    classes = [tuple(c) for _, c in groupby(order, key=invariant.__getitem__)]
+    best, count = None, 0
+    bit = [0] * n
+    for parts in product(*map(permutations, classes)):
+        seq = [v for part in parts for v in part]
+        for i, v in enumerate(seq):
+            bit[v] = 1 << i
+        cand = tuple(sum(map(bit.__getitem__, nbrs[v])) for v in seq)
+        if best is None or cand < best:
+            best, count = cand, 1
+        elif cand == best:
+            count += 1
+    return best, canon_smask, count
+
+
 def _induces_one_cycle(adj, verts: int) -> bool:
     """Does ``verts`` induce a single cycle, that is, a nonempty 2-regular
     connected subgraph?"""
@@ -143,10 +178,10 @@ class Graph:
         return tuple(out)
 
     def edge_count(self) -> int:
-        return sum(bin(a).count("1") for a in self.adj) // 2
+        return sum(a.bit_count() for a in self.adj) // 2
 
     def degree(self, v: int) -> int:
-        return bin(self.adj[v]).count("1")
+        return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> frozenset:
         return frozenset(_bits(self.adj[v]))

@@ -11,11 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
+from math import factorial
 
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
                      cycle_graph, delete_vertices, format_graph, is_chordal,
-                     path_graph, _bits, _default_labels, _delete_adj, _drop,
+                     path_graph, _bits, _canonical, _default_labels, _delete_adj, _drop,
                      _induces_one_cycle, _whiskered_adj)
 from .monomials import MonomialIdeal, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, make_order,
@@ -381,9 +382,18 @@ def all_induced_dlq(G: Graph, memo=None, *, S=()) -> bool:
     recursion deletes one vertex at a time and decides each graph's own
     verdict only when all its one-vertex deletions pass.  It works on
     adjacency tuples and S-masks, reindexed by ``graphs._drop``, and builds
-    no ``Graph`` but the one whose dual it checks.  ``memo`` maps
-    (adjacency tuple, S-mask) to the answer for all subsets and may be
-    shared across calls.
+    no ``Graph`` but the one whose dual it checks.  ``memo`` maps the
+    canonical form (adjacency tuple, S-mask) of ``graphs._canonical`` to
+    the answer for all subsets and may be shared across calls; the
+    recursion runs on the deletions of the canonical representative.
+
+    Lemma (relabelling): a permutation of the vertices maps the edge ideal,
+    its Alexander dual and each degree component of the dual to those of
+    the relabelled graph, and an order with linear quotients to one, so the
+    dual linear-quotients verdict is invariant under relabelling.  The
+    induced subgraphs of a relabelled (G, S) are relabellings of those of
+    (G, S), so the answer here, and with it both sides of Theorem 3.7, is
+    one per isomorphism class of (G, S).
 
     With S nonempty this is the whiskered side of Theorem 3.7: an induced
     subgraph of G with the tips of S attached that keeps every tip is
@@ -407,6 +417,7 @@ def all_induced_dlq(G: Graph, memo=None, *, S=()) -> bool:
 
 
 def _all_induced_dlq(adj: tuple, smask: int, memo: dict) -> bool:
+    adj, smask, _ = _canonical(adj, smask)
     key = (adj, smask)
     got = memo.get(key)
     if got is not None:
@@ -424,8 +435,33 @@ def _all_induced_dlq(adj: tuple, smask: int, memo: dict) -> bool:
     return ok
 
 
+def _classes(limit: int):
+    """Yield (n, classes) for n = 1..limit, where ``classes`` maps the
+    canonical form (adjacency tuple, S-mask) of each isomorphism class of
+    graphs G on n vertices with a vertex subset S to |Aut(G, S)|.
+
+    Canonical augmentation (McKay, J. Algorithms 1998): deleting the last
+    vertex of a labelled pair on n vertices leaves a pair on n - 1, so
+    every class on n vertices is reached by adding a vertex, with every
+    neighbourhood and both S bits, to each class on n - 1 vertices; the
+    results are deduplicated by canonical form.
+    """
+    reps = {((), 0): 1}
+    for n in range(1, limit + 1):
+        new = 1 << (n - 1)
+        grown = {}
+        for adj, smask in reps:
+            for nbrs in range(new):
+                gadj = tuple(a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)) + (nbrs,)
+                for s in (smask, smask | new):
+                    cadj, cmask, aut = _canonical(gadj, s)
+                    grown[cadj, cmask] = aut
+        yield n, grown
+        reps = grown
+
+
 def _run_t37(campaign: Campaign) -> Report:
-    """Exhaust all graphs up to min(max_n, 5) vertices and all subsets S.
+    """Exhaust all graphs up to min(max_n, 6) vertices and all subsets S.
 
     The remainder side is ``all_induced_dlq(G - S)``.  The whiskered side
     ranges over induced subgraphs of G with the tips of S attached that
@@ -435,26 +471,35 @@ def _run_t37(campaign: Campaign) -> Report:
     (the lemma at ``all_induced_dlq``), so the whiskered side is
     ``all_induced_dlq(G, S=S)``, and one memoized recursion over
     single-vertex deletions serves both sides.
+
+    Both sides are invariant under relabelling (the relabelling lemma at
+    ``all_induced_dlq``), so the sweep decides one representative per
+    isomorphism class of (G, S) on n vertices from ``_classes`` and counts
+    it as its n!/|Aut(G, S)| labelled pairs (orbit-stabilizer).  Per n the
+    weights must sum to the 2^C(n,2) * 2^n labelled pairs, or the sweep
+    raises AssertionError.  A failing class is reported on its
+    representative, with the running labelled count as its trial.
     """
     report = Report(campaign, CLAIM_STATEMENTS["T3.7"])
-    limit = min(campaign.max_n, 5)
     memo = {}
-    for n in range(1, limit + 1):
-        slots = list(combinations(range(n), 2))
-        for bits in range(1 << len(slots)):
-            edges = [slots[i] for i in range(len(slots)) if bits >> i & 1]
-            G = Graph(n, edges)
-            for smask in range(1 << n):
-                lhs = _all_induced_dlq(_delete_adj(G.adj, smask), 0, memo)
-                rhs = _all_induced_dlq(G.adj, smask, memo)
-                if lhs == rhs:
-                    report.passed += 1
-                else:
-                    report.failed += 1
-                    detail = f"remainder side {lhs}, whiskered side {rhs}"
-                    S = frozenset(_bits(smask))
-                    report.failures.append(_counterexample("T3.7", report.passed + report.failed,
-                                                           detail, G, S))
+    for n, classes in _classes(min(campaign.max_n, 6)):
+        labelled = 0
+        for (adj, smask), aut in classes.items():
+            weight = factorial(n) // aut
+            labelled += weight
+            lhs = _all_induced_dlq(_delete_adj(adj, smask), 0, memo)
+            rhs = _all_induced_dlq(adj, smask, memo)
+            if lhs == rhs:
+                report.passed += weight
+            else:
+                report.failed += weight
+                detail = f"remainder side {lhs}, whiskered side {rhs}"
+                G = Graph._from_adj(adj, _default_labels(n))
+                report.failures.append(_counterexample("T3.7", report.passed + report.failed,
+                                                       detail, G, frozenset(_bits(smask))))
+        if labelled != 1 << n * (n + 1) // 2:
+            raise AssertionError(f"the classes on {n} vertices weigh {labelled} labelled "
+                                 f"pairs, not 2^C({n},2) * 2^{n}")
     return report
 
 

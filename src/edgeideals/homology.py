@@ -114,7 +114,7 @@ class SimplicialComplex:
     def __init__(self, ground: int, facets):
         self.ground = ground
         # keep only inclusion-maximal faces
-        cand = sorted(set(facets), key=lambda m: -bin(m).count("1"))
+        cand = sorted(set(facets), key=lambda m: -m.bit_count())
         kept = []
         for m in cand:
             if m & ~ground:
@@ -149,7 +149,7 @@ class SimplicialComplex:
     def dim(self):
         if self.is_void:
             return None
-        return max(bin(m).count("1") for m in self.facets) - 1
+        return max(m.bit_count() for m in self.facets) - 1
 
     def face_masks(self) -> set:
         faces = set()
@@ -165,7 +165,7 @@ class SimplicialComplex:
     def faces_by_size(self) -> dict:
         out = {}
         for m in self.face_masks():
-            out.setdefault(bin(m).count("1"), []).append(m)
+            out.setdefault(m.bit_count(), []).append(m)
         for k in out:
             out[k].sort(key=_key)
         return out
@@ -394,7 +394,7 @@ def _lcm_lattice(M: MonomialIdeal, spend=None) -> list:
         lattice.add(g.mask)
         if spend is not None:
             spend(len(lattice) - size)
-    return sorted(lattice, key=lambda m: (bin(m).count("1"), _key(m)))
+    return sorted(lattice, key=lambda m: (m.bit_count(), _key(m)))
 
 
 def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
@@ -407,7 +407,7 @@ def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     totals = {}
     for b in _lcm_lattice(M):
         ranks = reduced_homology_ranks(upper_koszul_complex(M, Monomial.from_mask(b)), field)
-        size = bin(b).count("1")
+        size = b.bit_count()
         for j, r in ranks.items():
             if r:
                 i = j + 1
@@ -440,7 +440,7 @@ def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2, spend=None):
     d = M.min_degree
     for b in _lcm_lattice(M, spend):
         ranks = reduced_homology_ranks(upper_koszul_complex(M, Monomial.from_mask(b)), field)
-        size = bin(b).count("1")
+        size = b.bit_count()
         for j in sorted(ranks):
             if ranks[j] and size != d + j + 1:
                 return (j + 1, frozenset(_bits(b)))

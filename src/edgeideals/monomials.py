@@ -15,11 +15,9 @@ from .graphs import Graph, _bits, _default_labels, _mask_of, _minimal_cover_mask
 __all__ = [
     "Monomial",
     "MonomialIdeal",
-    "minimalize",
     "edge_ideal",
     "alexander_dual_of_edge_ideal",
     "squarefree_degree_component",
-    "colon_by_monomial",
 ]
 
 
@@ -51,7 +49,7 @@ class Monomial:
 
     @property
     def degree(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     def divides(self, other: "Monomial") -> bool:
         return self.mask & ~other.mask == 0
@@ -132,7 +130,7 @@ class MonomialIdeal:
     def from_generators(cls, ambient: int, gens) -> "MonomialIdeal":
         """Minimalize and sort an arbitrary generating set."""
         masks = sorted({Monomial(g).mask if not isinstance(g, Monomial) else g.mask for g in gens},
-                       key=lambda m: bin(m).count("1"))
+                       key=int.bit_count)
         if any(m >> ambient for m in masks):
             raise InputError("generator outside ambient variables")
         # distinct monomials of equal degree never divide each other, so each
@@ -141,7 +139,7 @@ class MonomialIdeal:
         lower = 0
         degree = -1
         for m in masks:
-            d = bin(m).count("1")
+            d = m.bit_count()
             if d != degree:
                 degree, lower = d, len(kept)
             if not any(k & ~m == 0 for k in kept[:lower]):
@@ -227,11 +225,6 @@ class MonomialIdeal:
         return cls(ambient, out)
 
 
-def minimalize(ambient: int, gens) -> MonomialIdeal:
-    """Divisibility-minimal sublist in canonical order."""
-    return MonomialIdeal.from_generators(ambient, gens)
-
-
 def edge_ideal(G: Graph) -> MonomialIdeal:
     """One degree-two generator x_u x_v per edge of G."""
     gens = [Monomial((u, v)) for u, v in G.edges()]
@@ -264,8 +257,3 @@ def squarefree_degree_component(I: MonomialIdeal, d: int) -> MonomialIdeal:
             masks.add(g.mask | _mask_of(extra))
     gens = sorted((Monomial.from_mask(m) for m in masks), key=lambda g: g.sort_key)
     return MonomialIdeal._from_canonical(I.ambient, gens)
-
-
-def colon_by_monomial(I: MonomialIdeal, u: Monomial) -> MonomialIdeal:
-    """I : (u), minimally generated."""
-    return MonomialIdeal.from_generators(I.ambient, [g.colon(u) for g in I.gens])

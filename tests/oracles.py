@@ -1,17 +1,24 @@
 """Independent brute-force oracles used to freeze expected values.
 
 Everything here recomputes from definitions (raw subset scans, permutation
-checks, union-find), deliberately sharing no machinery with the package
-paths it is used to check; the one exception, the tip-containing subgraph
-scan, calls the package's single-graph dual linear quotients check but none
-of the sweep's recursion, memo or isolated-vertex reduction.
+checks, union-find, Burnside counts), deliberately sharing no machinery
+with the package paths it is used to check; the exceptions, the
+tip-containing subgraph scan and the labelled sweep recursion, call the
+package's single-graph dual linear quotients check but none of the sweep's
+canonical forms or memo.
 """
 
 from itertools import combinations, permutations
+from math import factorial
 
-from edgeideals.graphs import add_whiskers, induced_subgraph
-from edgeideals.monomials import Monomial, MonomialIdeal, colon_by_monomial
+from edgeideals.graphs import add_whiskers, delete_vertices, induced_subgraph
+from edgeideals.monomials import Monomial, MonomialIdeal
 from edgeideals.quotients import has_dual_linear_quotients
+
+
+def colon_by_monomial(I, u):
+    """I : (u), minimally generated."""
+    return MonomialIdeal.from_generators(I.ambient, [g.colon(u) for g in I.gens])
 
 
 def brute_covers(G, d):
@@ -106,6 +113,87 @@ def tip_induced_dlq_by_enumeration(G, S):
                                          stop_at_failure=True).verdict:
             return False
     return True
+
+
+def all_induced_dlq_labelled(G, S, memo):
+    """Does whisker(G[U], S & U) have dual linear quotients for every U?
+
+    The labelled recursion: one memo entry per labelled (adjacency tuple,
+    S) pair, one-vertex deletions through ``delete_vertices`` and the
+    checked graph through ``add_whiskers``, with no canonical form.
+    """
+    key = (G.adj, S)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    ok = all(all_induced_dlq_labelled(delete_vertices(G, [v]),
+                                      frozenset(w - (w > v) for w in S if w != v), memo)
+             for v in range(G.n))
+    if ok:
+        ok = has_dual_linear_quotients(add_whiskers(G, S)[0], stop_at_failure=True).verdict
+        if ok is None:
+            raise AssertionError(f"undecided dual linear quotients of {G!r} with {set(S)}")
+    memo[key] = ok
+    return ok
+
+
+def canonical_by_all_relabellings(G, S):
+    """Least (invariant sequence, adjacency tuple, S-mask) over all n!
+    relabellings of (G, S), without the invariant sequence, and the number
+    of relabellings that reach it, checked against the number of
+    automorphisms.  A vertex's invariant is (in S, degree, sorted
+    neighbour degrees), read from the edge list.
+    """
+    n, edges = G.n, G.edges()
+    nbrs = {v: [] for v in range(n)}
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    inv = [(int(v in S), len(nbrs[v]), tuple(sorted(len(nbrs[u]) for u in nbrs[v])))
+           for v in range(n)]
+    identity = None
+    best, count, automorphisms = None, 0, 0
+    for perm in permutations(range(n)):  # vertex v becomes perm[v]
+        adj = [0] * n
+        for u, v in edges:
+            adj[perm[u]] |= 1 << perm[v]
+            adj[perm[v]] |= 1 << perm[u]
+        seq = [None] * n
+        for v in range(n):
+            seq[perm[v]] = inv[v]
+        key = (tuple(seq), tuple(adj), sum(1 << perm[v] for v in S))
+        if identity is None:
+            identity = key
+        automorphisms += key == identity
+        if best is None or key < best:
+            best, count = key, 1
+        elif key == best:
+            count += 1
+    if count != automorphisms:
+        raise AssertionError(f"{count} relabellings reach the minimum, {automorphisms} fix (G, S)")
+    return best[1], best[2], count
+
+
+def burnside_class_count(n):
+    """Isomorphism classes of graphs on n vertices with a vertex subset:
+    the mean over the permutations p of S_n of the pairs p fixes,
+    2 ** (cycles of p on vertex pairs + cycles of p on vertices)."""
+    def cycles(points, image):
+        seen, out = set(), 0
+        for x in points:
+            if x not in seen:
+                out += 1
+                while x not in seen:
+                    seen.add(x)
+                    x = image(x)
+        return out
+
+    pairs = [frozenset(e) for e in combinations(range(n), 2)]
+    total = 0
+    for p in permutations(range(n)):
+        total += 2 ** (cycles(pairs, lambda e: frozenset(p[v] for v in e))
+                       + cycles(range(n), p.__getitem__))
+    return total // factorial(n)
 
 
 def component_count(vertices, edges):

@@ -115,6 +115,9 @@ def test_criterion_9_exhaustive_t37():
     r = run_campaign(Campaign("T3.7", trials=1, max_n=5, seed=0))
     assert r.failed == 0, r.to_text()
     assert r.passed == 33866  # all graphs with up to 5 vertices, all subsets
+    # one dual check per isomorphism class of (G, S) whose deletions all pass
+    assert r.order_search_stats == {"identity": 1129, "structural": 42, "greedy": 2,
+                                    "backtracked": 0, "exhausted": 0, "refuted": 1}
     elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     _report(9, "exhaustive equivalence sweep through five vertices", t0)

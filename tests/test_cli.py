@@ -329,6 +329,42 @@ def test_verify_bounds_the_witness_complex(capsys, tmp_path):
     assert check_evidence(R, verdict.to_json(R.labels)) == (True, "verdict verified")
 
 
+@pytest.mark.parametrize("n, edges, degree, named, code, why", [
+    # the 12-edge perfect matching is unmixed: degree 18 is above D = 12
+    pytest.param(24, [(2 * j, 2 * j + 1) for j in range(12)], 18, 24, 1,
+                 "witness degree 18 lies outside the dual's degrees 12..12", id="matching-18"),
+    # K_{1,20} at degree 11: C(20, 10) generators divide x^b, each leaving 10 vertices
+    pytest.param(21, [(0, j) for j in range(1, 21)], 11, 21, 2, None, id="star-11"),
+    # the same on the center and 11 leaves: 11 generators, counted without
+    # building the C(20, 10)-generator component
+    pytest.param(21, [(0, j) for j in range(1, 21)], 11, 12, 1,
+                 "witness Betti number vanishes on re-computation", id="star-11-twelve"),
+])
+def test_verify_refuses_forged_witnesses_fast(capsys, tmp_path, n, edges, degree, named,
+                                              code, why):
+    from edgeideals import check_evidence
+    from edgeideals.errors import SearchBudgetExceeded
+    from edgeideals.graphs import Graph, format_graph
+    G = Graph(n, edges)
+    forged = {"property": "SCM", "value": False, "field": "2",
+              "evidence": {"kind": "betti-witness", "degree": degree, "index": 2,
+                           "multidegree": list(G.labels[:named])}}
+    t0 = time.perf_counter()
+    if code == 2:
+        with pytest.raises(SearchBudgetExceeded):
+            check_evidence(G, forged)
+    else:
+        assert check_evidence(G, forged) == (False, why)
+    assert time.perf_counter() - t0 < 0.5
+    graph = tmp_path / "forged.graph"
+    graph.write_text(format_graph(G))
+    payload = tmp_path / "forged.json"
+    payload.write_text(json.dumps(forged))
+    got, out, err = run(capsys, "verify", str(graph), "--in", str(payload))
+    assert got == code
+    assert out == ("" if code == 2 else f"verified: false ({why})\n")
+
+
 def test_cli_holds_no_evidence_logic():
     # evidence is re-checked by decide.check_evidence; the CLI only does I/O
     import edgeideals.cli

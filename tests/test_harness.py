@@ -1,5 +1,7 @@
 import json
 import random
+from itertools import combinations
+from math import factorial
 
 import pytest
 
@@ -7,8 +9,10 @@ from edgeideals import (Campaign, Graph, InputError, all_induced_dlq,
                         cycle_graph, delete_vertices,
                         has_dual_linear_quotients, run_campaign, run_fixture,
                         CLAIM_STATEMENTS, FIXTURE_IDS)
-from edgeideals.harness import _random_graph, _shrink
-from oracles import tip_induced_dlq_by_enumeration
+from edgeideals.graphs import _canonical
+from edgeideals.harness import _classes, _random_graph, _random_subset, _shrink
+from oracles import (all_induced_dlq_labelled, burnside_class_count,
+                     canonical_by_all_relabellings, tip_induced_dlq_by_enumeration)
 
 
 @pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
@@ -181,3 +185,106 @@ def test_sweep_builds_no_subgraph_or_whiskered_graph(monkeypatch):
     monkeypatch.setattr(edgeideals.harness, "add_whiskers", refuse)
     report = run_campaign(Campaign("T3.7", max_n=3))
     assert report.failed == 0 and report.passed == 2 + 4 * 2 + 8 * 8  # (G, S) pairs
+
+
+def _every_labelled_pair(max_n):
+    for n in range(max_n + 1):
+        slots = list(combinations(range(n), 2))
+        for bits in range(1 << len(slots)):
+            G = Graph(n, [e for i, e in enumerate(slots) if bits >> i & 1])
+            for smask in range(1 << n):
+                yield G, frozenset(v for v in range(n) if smask >> v & 1)
+
+
+def _random_pair(rng, n):
+    return _random_graph(rng, n, rng.choice([0.2, 0.4, 0.6])), _random_subset(rng, n)
+
+
+def _relabel(G, S, perm):
+    return (Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges()]),
+            frozenset(perm[v] for v in S))
+
+
+def test_all_induced_dlq_matches_the_labelled_recursion():
+    # the canonical memo against one memo entry per labelled pair, on every
+    # (G, S) with at most four vertices and on random ones with 5-7
+    rng = random.Random(73)
+    pairs = list(_every_labelled_pair(4))
+    pairs += [_random_pair(rng, rng.randint(5, 7)) for _ in range(40)]
+    memo, labelled = {}, {}
+    seen = set()
+    for G, S in pairs:
+        got = all_induced_dlq(G, memo, S=S)
+        assert got == all_induced_dlq_labelled(G, S, labelled), (G, S)
+        seen.add(got)
+    assert seen == {True, False}
+    assert len(memo) < len(labelled)
+
+
+def test_canonical_form_is_the_least_relabelling():
+    rng = random.Random(79)
+    pairs = list(_every_labelled_pair(4))
+    pairs += [_random_pair(rng, rng.randint(5, 6)) for _ in range(300)]
+    for G, S in pairs:
+        assert _canonical(G.adj, G._check_vertices(S)) == \
+            canonical_by_all_relabellings(G, S), (G, S)
+    for _ in range(50):
+        G, S = _random_pair(rng, 7)
+        perm = list(range(7))
+        rng.shuffle(perm)
+        H, T = _relabel(G, S, perm)
+        assert _canonical(H.adj, H._check_vertices(T)) == _canonical(G.adj, G._check_vertices(S))
+
+
+def test_class_counts_match_burnside():
+    for n, classes in _classes(6):
+        assert len(classes) == burnside_class_count(n)
+        assert sum(factorial(n) // aut for aut in classes.values()) == 2 ** (n * (n + 1) // 2)
+        assert all(_canonical(adj, smask) == (adj, smask, aut)
+                   for (adj, smask), aut in classes.items())
+
+
+def test_t37_exhaustive_through_six_vertices():
+    report = run_campaign(Campaign("T3.7", max_n=6))
+    assert report.failed == 0, report.to_text()
+    assert report.passed == 2_131_018  # every labelled (G, S) with up to six vertices
+
+
+def test_t37_sweeps_through_six_vertices_at_most(monkeypatch):
+    import edgeideals.harness
+    limits = []
+    monkeypatch.setattr(edgeideals.harness, "_classes",
+                        lambda limit: limits.append(limit) or iter(()))
+    for max_n in (4, 6, 7, 20):
+        run_campaign(Campaign("T3.7", max_n=max_n))
+    assert limits == [4, 6, 6, 6]
+
+
+def test_t37_refuses_classes_short_of_the_labelled_total(monkeypatch):
+    # a class missing from the enumeration must raise, under -O as well
+    import edgeideals.harness
+
+    def short(limit):
+        for n, classes in _classes(limit):
+            if n == 3:
+                classes = dict(list(classes.items())[1:])
+            yield n, classes
+
+    monkeypatch.setattr(edgeideals.harness, "_classes", short)
+    with pytest.raises(AssertionError):
+        run_campaign(Campaign("T3.7", max_n=3))
+
+
+def test_t37_reports_a_failing_class_on_its_representative(monkeypatch):
+    # with a whiskered side that differs from the remainder side exactly
+    # when S is nonempty, each such class fails with its n!/|Aut| pairs
+    import edgeideals.harness
+    monkeypatch.setattr(edgeideals.harness, "_all_induced_dlq",
+                        lambda adj, smask, memo: bool(smask))
+    report = run_campaign(Campaign("T3.7", max_n=2))
+    assert (report.passed, report.failed) == (1 + 2, 1 + 6)
+    assert [f["trial"] for f in report.failures] == [2, 5, 8, 9, 10]
+    assert [(f["graph"], f["whisker_at"]) for f in report.failures] == [
+        ("1 0\n", [1]), ("2 0\n", [2]), ("2 1\n1 2\n", [2]),
+        ("2 0\n", [1, 2]), ("2 1\n1 2\n", [1, 2])]
+    assert report.failures[0]["rerun"] == "edgeideals is-scm GRAPH_FILE --whisker 1"
