@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-theorem", help="run a randomized verification campaign")
     p.add_argument("id", choices=sorted(CLAIM_STATEMENTS),
                    help="claim identifier")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=int, default=100,
+                   help="sampled trials per claim (default 100); T3.7 ignores it and "
+                        "reports the labelled pairs it swept")
     p.add_argument("--max-n", type=int, default=7, dest="max_n",
                    help="T3.7 sweeps every graph and subset exhaustively through "
                         "min(max-n, 6) vertices; the other claims sample graphs with "

@@ -233,14 +233,29 @@ def necessary_scm(G: Graph, S, field: FieldSpec = GF2) -> SyzygyWitness | None:
     Components are searched in increasing degree and witnesses in
     increasing multidegree size; None when G minus S is sequentially
     Cohen-Macaulay as far as the scan can tell (all components linear).
+
+    Two exact tests settle most remainders before the scan.  With no edge
+    left the dual is the unit ideal, which has no witness.  Otherwise, if
+    the remainder's dual has linear quotients in every degree dmin..D, each
+    component has a linear resolution over every field (the lemma of
+    ``quotients._OrderSearch._order_uncached``, after Herzog-Takayama), and
+    those above D inherit one (the lemma of ``has_dual_linear_quotients``),
+    so no witness exists in any field.  Only a failed or undecided search
+    runs the scan, on the dual the search already built.
     """
     smask = G._check_vertices(S)
-    keep = [v for v in range(G.n) if not smask >> v & 1]
+    rest = ((1 << G.n) - 1) & ~smask
+    if not any(G.adj[v] & rest for v in _bits(rest)):
+        return None
     H = delete_vertices(G, list(_bits(smask)))
-    w = is_componentwise_linear(alexander_dual_of_edge_ideal(H), field).witness
+    report = has_dual_linear_quotients(H, budget=DEFAULT_SEARCH_BUDGET, stop_at_failure=True)
+    if report.verdict is True:
+        return None
+    w = is_componentwise_linear(report.dual, field).witness
     if w is None:
         return None
     d, i, b_local = w
+    keep = list(_bits(rest))
     b = frozenset(keep[v] for v in b_local)
     return SyzygyWitness(d, i, b, b | frozenset(_bits(smask)))
 

@@ -83,6 +83,8 @@ class Campaign:
             # _trial_rng seeds (seed, index) as seed * stride + index, which
             # collides across seeds once index reaches the stride
             raise InputError(f"trials must be < {_SEED_STRIDE}")
+        if self.max_n < 1:
+            raise InputError("max_n must be >= 1")
 
 
 @dataclass
@@ -99,11 +101,19 @@ class Report:
     def ok(self) -> bool:
         return self.failed == 0
 
+    @property
+    def trials(self) -> int:
+        """The campaign's trials; for the exhaustive T3.7 sweep, which
+        ignores them, the labelled pairs it swept."""
+        if self.campaign.theorem == "T3.7":
+            return self.passed + self.failed
+        return self.campaign.trials
+
     def to_json(self) -> dict:
         return {
             "claim": self.campaign.theorem,
             "statement": self.statement,
-            "trials": self.campaign.trials,
+            "trials": self.trials,
             "max_n": self.campaign.max_n,
             "seed": self.campaign.seed,
             "fields": [str(f) for f in self.campaign.fields],
@@ -117,7 +127,7 @@ class Report:
     def to_text(self) -> str:
         lines = [
             f"claim {self.campaign.theorem}: {self.statement}",
-            f"  trials={self.campaign.trials} max_n={self.campaign.max_n} "
+            f"  trials={self.trials} max_n={self.campaign.max_n} "
             f"seed={self.campaign.seed} fields={','.join(str(f) for f in self.campaign.fields)}",
             f"  passed={self.passed} failed={self.failed} skipped={self.skipped}",
         ]

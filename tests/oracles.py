@@ -5,14 +5,17 @@ checks, union-find, Burnside counts), deliberately sharing no machinery
 with the package paths it is used to check; the exceptions, the
 tip-containing subgraph scan and the labelled sweep recursion, call the
 package's single-graph dual linear quotients check but none of the sweep's
-canonical forms or memo.
+canonical forms or memo, and the full-scan form of ``necessary_scm`` calls
+the package's homology scan with no linear-quotients shortcut.
 """
 
 from itertools import combinations, permutations
 from math import factorial
 
+from edgeideals.decide import SyzygyWitness
 from edgeideals.graphs import add_whiskers, delete_vertices, induced_subgraph
-from edgeideals.monomials import Monomial, MonomialIdeal
+from edgeideals.homology import is_componentwise_linear
+from edgeideals.monomials import Monomial, MonomialIdeal, alexander_dual_of_edge_ideal
 from edgeideals.quotients import has_dual_linear_quotients
 
 
@@ -113,6 +116,19 @@ def tip_induced_dlq_by_enumeration(G, S):
                                          stop_at_failure=True).verdict:
             return False
     return True
+
+
+def necessary_scm_by_full_scan(G, S, field):
+    """``decide.necessary_scm`` with no shortcut: the first witness of the
+    homology scan over the remainder's whole dual, on G's vertices."""
+    keep = [v for v in range(G.n) if v not in S]
+    H = delete_vertices(G, sorted(S))
+    w = is_componentwise_linear(alexander_dual_of_edge_ideal(H), field).witness
+    if w is None:
+        return None
+    d, i, b_local = w
+    b = frozenset(keep[v] for v in b_local)
+    return SyzygyWitness(d, i, b, b | frozenset(S))
 
 
 def all_induced_dlq_labelled(G, S, memo):

@@ -105,6 +105,10 @@ def test_criterion_8_campaign_t41_with_lifts():
     r = run_campaign(Campaign("T4.1", trials=100, max_n=7, seed=2026))
     assert r.failed == 0, r.to_text()
     assert r.passed >= 90  # rejection sampling may skip a few
+    # the hypothesis asks for dual linear quotients of each remainder with
+    # an edge before any homology scan
+    assert r.order_search_stats == {"identity": 7440, "structural": 201, "greedy": 40,
+                                    "backtracked": 0, "exhausted": 0, "refuted": 503}
     r42 = run_campaign(Campaign("C4.2", trials=100, max_n=7, seed=2026))
     assert r42.failed == 0, r42.to_text()
     _report(8, f"campaigns T4.1 ({r.passed} pass) and C4.2 ({r42.passed} pass)", t0)

@@ -470,6 +470,39 @@ def test_verify_theorem_subcommand(capsys):
     assert code == 0 and data["failed"] == 0 and data["claim"] == "C4.2"
 
 
+# verify-theorem T4.1 --trials 100 --seed 2026 --field 2,3,q --json, recorded
+# before the remainder was settled by its edges and by dual linear quotients
+# ahead of the homology scan, with order_search_stats (which that raises)
+# taken out and the rest serialized with sorted keys
+T41_SHA256 = "729e61551500af765a1f191298c1f88dbc4cd7128024be8c836f4c0464c96185"
+
+
+def test_t41_report_bytes_pinned(capsys):
+    import hashlib
+    code, out, _ = run(capsys, "verify-theorem", "T4.1", "--trials", "100", "--seed", "2026",
+                       "--field", "2,3,q", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["passed"] == 100
+    del data["order_search_stats"]
+    digest = hashlib.sha256(json.dumps(data, sort_keys=True).encode()).hexdigest()
+    assert digest == T41_SHA256
+
+
+def test_verify_theorem_refuses_max_n_below_one(capsys):
+    for argv in (("T3.2", "--max-n", "0", "--trials", "2"), ("T3.7", "--max-n", "0")):
+        code, out, err = run(capsys, "verify-theorem", *argv)
+        assert code == 2 and out == ""
+        assert err == "error: max_n must be >= 1\n"
+
+
+def test_t37_reports_the_labelled_pairs_it_swept(capsys):
+    code, out, _ = run(capsys, "verify-theorem", "T3.7", "--max-n", "3", "--json")
+    data = json.loads(out)
+    assert code == 0 and data["trials"] == data["passed"] + data["failed"] == 2 + 8 + 64
+    code, out, _ = run(capsys, "verify-theorem", "T3.7", "--max-n", "3", "--trials", "5")
+    assert code == 0 and "  trials=74 max_n=3 " in out
+
+
 def test_stdin_graph(capsys, monkeypatch, tmp_path):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(C5_TEXT))

@@ -13,6 +13,8 @@ from edgeideals.decide import (BettiWitness, ComponentwiseScan, QuotientCertific
                                ZeroIdealConvention)
 from edgeideals.monomials import Monomial
 
+from oracles import necessary_scm_by_full_scan
+
 
 def random_graph(rng, n, p):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
@@ -197,6 +199,64 @@ def test_lift_validates_inputs():
     w = necessary_scm(G, [])
     with pytest.raises(InputError):
         check_koszul_lift(G, [0], w)  # witness does not match this S
+
+
+def test_necessary_matches_the_full_scan_on_every_sampler():
+    # the edgeless and linear-quotients shortcuts must return exactly the
+    # first witness of the full homology scan, in every field
+    from itertools import combinations
+    from edgeideals.harness import _CLAIMS
+    witnesses = {}
+    for k, (claim, (sampler, _, _)) in enumerate(sorted(_CLAIMS.items())):
+        rng = random.Random(7000 + k)
+        for _ in range(300):
+            G, S = sampler(rng, 7)
+            for f in (GF2, GF3, QQ):
+                w = necessary_scm(G, S, f)
+                assert w == necessary_scm_by_full_scan(G, S, f), (claim, G, S, f)
+                witnesses[claim] = witnesses.get(claim, 0) + (w is not None)
+    assert witnesses["C4.2"] == 900 and witnesses["T3.2"] > 0 and witnesses["T4.1"] > 0
+    found = 0
+    for n in range(1, 6):
+        slots = list(combinations(range(n), 2))
+        for bits in range(1 << len(slots)):
+            G = Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
+            for f in (GF2, GF3, QQ):
+                w = necessary_scm(G, (), f)
+                assert w == necessary_scm_by_full_scan(G, frozenset(), f), (G, f)
+                found += w is not None
+    assert found == 219
+
+
+def test_necessary_builds_nothing_for_an_edgeless_remainder(monkeypatch):
+    import edgeideals.decide
+    import edgeideals.quotients
+
+    def refuse(G):
+        raise AssertionError("built the dual of an edgeless remainder")
+    monkeypatch.setattr(edgeideals.decide, "alexander_dual_of_edge_ideal", refuse)
+    monkeypatch.setattr(edgeideals.quotients, "alexander_dual_of_edge_ideal", refuse)
+    star = Graph(4, [(0, 1), (0, 2), (0, 3)])
+    for G, S in ((Graph(3, []), ()), (star, {0}), (star, {0, 1, 2, 3}), (cycle_graph(4), {0, 2})):
+        for f in (GF2, GF3, QQ):
+            assert necessary_scm(G, S, f) is None
+
+
+def test_necessary_scans_when_the_search_overruns(monkeypatch):
+    import edgeideals.decide
+    from edgeideals.harness import ex43_pair
+    G, S = ex43_pair()
+    full = {f: necessary_scm(G, S, f) for f in (GF2, QQ)}
+    assert full[GF2] is not None
+    monkeypatch.setattr(edgeideals.decide, "DEFAULT_SEARCH_BUDGET", 0)
+    assert has_dual_linear_quotients(delete_vertices(G, S), budget=0).verdict is None
+    scans = []
+    real = edgeideals.decide.is_componentwise_linear
+    monkeypatch.setattr(edgeideals.decide, "is_componentwise_linear",
+                        lambda I, f: scans.append(f) or real(I, f))
+    for f, w in full.items():
+        assert necessary_scm(G, S, f) == w == necessary_scm_by_full_scan(G, S, f)
+    assert scans == [GF2, QQ]
 
 
 def test_corollary_bad_cycles_desk_scale():

@@ -35,6 +35,10 @@ def test_campaign_validation():
     with pytest.raises(InputError):
         Campaign("T3.2", trials=1_000_003)
     assert Campaign("T3.2", trials=1_000_002).trials == 1_000_002
+    for claim in ("T3.2", "T3.7"):
+        with pytest.raises(InputError):
+            Campaign(claim, max_n=0)
+    assert Campaign("T3.2", max_n=1).max_n == 1
 
 
 @pytest.mark.parametrize("claim", sorted(set(CLAIM_STATEMENTS) - {"T3.7"}))
