@@ -97,10 +97,11 @@ def _cmd_covers(args) -> int:
     if args.size is not None:
         covers = vertex_covers_of_size(G, args.size)
         title = f"vertex covers of size {args.size} ({len(covers)}):"
+        unmixed = is_unmixed(G)
     else:
         covers = minimal_vertex_covers(G)
         title = f"minimal vertex covers ({len(covers)}):"
-    unmixed = is_unmixed(G)
+        unmixed = len({len(c) for c in covers}) <= 1
     lines = [title] + [f"  {_mono_text(c, G.labels)}" for c in covers]
     lines.append(f"unmixed: {str(unmixed).lower()}")
     payload = {

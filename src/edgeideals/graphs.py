@@ -368,26 +368,65 @@ def classify_remainder(G: Graph, S) -> RemainderClass:
 # vertex covers
 
 
-def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False, waiting: int = 0):
-    """Yield every independent subset of verts_mask of at least ``need``
-    vertices as a mask: first those avoiding its lowest vertex, then those
-    containing it, recursively, pruning the branches that fall short.  With
-    ``maximal``, only the maximal ones: ``waiting`` holds the excluded
-    vertices with no neighbour in the set yet, and a branch ends once one
-    of them can gain none."""
+def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False) -> list:
+    """Every independent subset of verts_mask of at least ``need`` vertices,
+    as masks: first those avoiding its lowest vertex, then those containing
+    it, recursively, pruning the branches that fall short.  With
+    ``maximal``, only the maximal ones.
+
+    One depth-first walk on an explicit stack.  A node is (candidates,
+    need, waiting, taken): ``waiting`` holds the avoided vertices with no
+    neighbour taken yet, and a branch ends once one of them has no
+    candidate neighbour left.  Only the waiting vertices that can have lost
+    their last candidate since the parent are checked: on avoiding v, v
+    itself and the waiting neighbours of v; on taking v, the waiting
+    vertices v leaves undominated.  The walk descends the avoiding branch
+    in place and stacks the taking one, so a node's avoiding sets all come
+    out before its taking sets.
+    """
     if verts_mask.bit_count() < need:
-        return
-    if maximal and any(adj[x] & verts_mask == 0 for x in _bits(waiting)):
-        return
-    if verts_mask == 0:
-        yield 0
-        return
-    low = verts_mask & -verts_mask
-    v = low.bit_length() - 1
-    rest = verts_mask ^ low
-    yield from _independent_sets(adj, rest, need, maximal, waiting | low)
-    for s in _independent_sets(adj, rest & ~adj[v], need - 1, maximal, waiting & ~adj[v]):
-        yield s | low
+        return []
+    out = []
+    stack = [(verts_mask, need, 0, 0)]
+    push = stack.append
+    while stack:
+        verts, need, waiting, taken = stack.pop()
+        while verts:
+            low = verts & -verts
+            nb = adj[low.bit_length() - 1]
+            rest = verts ^ low
+            take = rest & ~nb
+            if need <= 1 or take.bit_count() >= need - 1:
+                stay = waiting & ~nb
+                if maximal:
+                    check = stay
+                    while check:
+                        x = check & -check
+                        if not adj[x.bit_length() - 1] & take:
+                            break
+                        check ^= x
+                    else:
+                        push((take, need - 1, stay, taken | low))
+                else:
+                    push((take, need - 1, stay, taken | low))
+            if need > 0 and rest.bit_count() < need:
+                break
+            if maximal:
+                if not nb & rest:
+                    break
+                check = waiting & nb
+                while check:
+                    x = check & -check
+                    if not adj[x.bit_length() - 1] & rest:
+                        break
+                    check ^= x
+                if check:
+                    break
+            verts = rest
+            waiting |= low
+        else:
+            out.append(taken)
+    return out
 
 
 def _covers_by_size(adj, active: int, top: int) -> dict:
@@ -398,7 +437,7 @@ def _covers_by_size(adj, active: int, top: int) -> dict:
     isolated vertices may pad a cover; larger covers are pruned unvisited.
     Each size class comes out in canonical lexicographic order on sorted
     vertex indices with no sort: ``_independent_sets`` branches on the
-    lowest vertex and first yields the sets avoiding it, whose covers
+    lowest vertex and first returns the sets avoiding it, whose covers
     contain it, and two covers of one size are ordered by the lowest vertex
     in which they differ.
     """

@@ -423,16 +423,21 @@ def all_induced_dlq(G: Graph, memo=None, *, S=()) -> bool:
     w - u, so z is not x, and the predecessor p with p - u = {z} cannot
     contain x, so z is a colon variable of the x-free prefix too.
     """
-    return _all_induced_dlq(G.adj, G._check_vertices(S), {} if memo is None else memo)
+    return _all_induced_dlq(G.adj, G._check_vertices(S), {} if memo is None else memo, {})
 
 
-def _all_induced_dlq(adj: tuple, smask: int, memo: dict) -> bool:
-    adj, smask, _ = _canonical(adj, smask)
-    key = (adj, smask)
+def _all_induced_dlq(adj: tuple, smask: int, memo: dict, canon: dict) -> bool:
+    """``all_induced_dlq`` on a labelled (adj, S-mask); ``canon`` maps the
+    labelled pairs already met to their canonical forms, so that each is
+    computed once per sweep."""
+    key = canon.get((adj, smask))
+    if key is None:
+        key = canon[adj, smask] = _canonical(adj, smask)[:2]
     got = memo.get(key)
     if got is not None:
         return got
-    ok = all(_all_induced_dlq(_delete_adj(adj, 1 << v), _drop(smask, v), memo)
+    adj, smask = key
+    ok = all(_all_induced_dlq(_delete_adj(adj, 1 << v), _drop(smask, v), memo, canon)
              for v in range(len(adj)))
     if ok:
         wadj = _whiskered_adj(adj, smask)
@@ -491,14 +496,14 @@ def _run_t37(campaign: Campaign) -> Report:
     representative, with the running labelled count as its trial.
     """
     report = Report(campaign, CLAIM_STATEMENTS["T3.7"])
-    memo = {}
+    memo, canon = {}, {}
     for n, classes in _classes(min(campaign.max_n, 6)):
         labelled = 0
         for (adj, smask), aut in classes.items():
             weight = factorial(n) // aut
             labelled += weight
-            lhs = _all_induced_dlq(_delete_adj(adj, smask), 0, memo)
-            rhs = _all_induced_dlq(adj, smask, memo)
+            lhs = _all_induced_dlq(_delete_adj(adj, smask), 0, memo, canon)
+            rhs = _all_induced_dlq(adj, smask, memo, canon)
             if lhs == rhs:
                 report.passed += weight
             else:

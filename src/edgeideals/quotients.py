@@ -577,10 +577,20 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
     above d, so its degree-(d+1) component is the J' of its degree-d
     component (Herzog-Hibi, Nagoya Math. J. 1999), and each component
     above D inherits both properties from the degree-D one.
+
+    Lemma (unmixed graphs): when every minimal cover has size D, the
+    degree-D component is generated by the minimal covers themselves, so
+    its generators are the dual's and are not enumerated again.  Proof: a
+    cover of size D contains a minimal cover, which has size D too, so the
+    two are equal.  The dual lists its generators in the canonical order
+    ``graphs._covers_by_size`` gives each size class.  Sub-blocks, and
+    every degree of a mixed graph, are still enumerated.
     """
     dual = alexander_dual_of_edge_ideal(G)
     ctx = _OrderSearch(G.adj, dual.max_degree, budget)
     full = (1 << G.n) - 1
+    if dual.is_equigenerated:
+        ctx._covers[full] = {dual.max_degree: dual.gen_masks()}
     per_degree = {}
     unknown = []
     skipped = []

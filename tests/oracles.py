@@ -6,7 +6,9 @@ with the package paths it is used to check; the exceptions, the
 tip-containing subgraph scan and the labelled sweep recursion, call the
 package's single-graph dual linear quotients check but none of the sweep's
 canonical forms or memo, and the full-scan form of ``necessary_scm`` calls
-the package's homology scan with no linear-quotients shortcut.
+the package's homology scan with no linear-quotients shortcut.  The
+recursive independent-set walk branches as the package's stack walk does
+and is the reference for its masks and their order.
 """
 
 from itertools import combinations, permutations
@@ -45,6 +47,31 @@ def brute_minimal_covers(G):
             if all(u in s or v in s for u, v in edges):
                 covers.append(frozenset(s))
     return [c for c in covers if not any(o < c for o in covers)]
+
+
+def independent_sets_by_recursion(adj, verts_mask, need=0, maximal=False, waiting=0):
+    """Yield every independent subset of verts_mask of at least ``need``
+    vertices as a mask: first those avoiding its lowest vertex, then those
+    containing it, recursively, pruning the branches that fall short.  With
+    ``maximal``, only the maximal ones: ``waiting`` holds the excluded
+    vertices with no neighbour in the set yet, and a branch ends once one
+    of them can gain none; every node scans all of ``waiting``.
+    """
+    if verts_mask.bit_count() < need:
+        return
+    if maximal and any(adj[x] & verts_mask == 0
+                       for x in range(len(adj)) if waiting >> x & 1):
+        return
+    if verts_mask == 0:
+        yield 0
+        return
+    low = verts_mask & -verts_mask
+    v = low.bit_length() - 1
+    rest = verts_mask ^ low
+    yield from independent_sets_by_recursion(adj, rest, need, maximal, waiting | low)
+    for s in independent_sets_by_recursion(adj, rest & ~adj[v], need - 1, maximal,
+                                           waiting & ~adj[v]):
+        yield s | low
 
 
 def brute_dual(supports):

@@ -73,6 +73,19 @@ def test_covers_size(capsys, c5):
     assert code == 0 and len(data["covers"]) == 5 and data["unmixed"] is True
 
 
+def test_minimal_covers_walk_once(capsys, monkeypatch, c5, star):
+    # without --size, "unmixed" is read off the covers already listed
+    from edgeideals import graphs
+    walk = graphs._minimal_cover_masks
+    calls = []
+    monkeypatch.setattr(graphs, "_minimal_cover_masks",
+                        lambda adj, active: calls.append(active) or walk(adj, active))
+    for graph, unmixed in ((c5, "true"), (star, "false")):
+        calls.clear()
+        code, out, _ = run(capsys, "covers", graph)
+        assert code == 0 and out.endswith(f"unmixed: {unmixed}\n") and len(calls) == 1
+
+
 def test_betti_component_text(capsys, ex43):
     code, out, _ = run(capsys, "betti", ex43, "--whisker", "5", "--component", "3")
     assert code == 0

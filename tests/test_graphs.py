@@ -9,10 +9,12 @@ from edgeideals import (Graph, InputError, RemainderClass, add_whiskers,
                         minimal_vertex_covers, parse_graph, path_graph,
                         vertex_covers_of_size)
 
-from edgeideals.graphs import (_covers_by_size, _induces_one_cycle, _key, _mask_of,
-                               _minimal_cover_masks)
+from edgeideals.graphs import (_covers_by_size, _independent_sets, _induces_one_cycle, _key,
+                               _mask_of, _minimal_cover_masks)
+from edgeideals.monomials import alexander_dual_of_edge_ideal
 
-from oracles import brute_covers, brute_minimal_covers, induces_one_cycle_by_union_find
+from oracles import (brute_covers, brute_minimal_covers, independent_sets_by_recursion,
+                     induces_one_cycle_by_union_find)
 
 
 def ex38_base():
@@ -278,17 +280,21 @@ def test_minimal_covers_match_oracle_and_exclude_isolated():
                 assert a == b or not a < b
 
 
+def _every_labelled_graph(max_n):
+    for n in range(max_n + 1):
+        slots = list(combinations(range(n), 2))
+        for bits in range(1 << len(slots)):
+            yield Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
+
+
 def test_minimal_cover_masks_match_oracle_on_every_small_graph():
     # the enumeration visits only maximal independent sets; every labelled
     # graph with at most six vertices gets the oracle's covers in canonical
     # order (by size, then lexicographic on sorted vertices)
-    for n in range(7):
-        slots = list(combinations(range(n), 2))
-        for bits in range(1 << len(slots)):
-            G = Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
-            want = sorted((_mask_of(c) for c in brute_minimal_covers(G)),
-                          key=lambda m: (m.bit_count(), _key(m)))
-            assert _minimal_cover_masks(G.adj, (1 << n) - 1) == want, G
+    for G in _every_labelled_graph(6):
+        want = sorted((_mask_of(c) for c in brute_minimal_covers(G)),
+                      key=lambda m: (m.bit_count(), _key(m)))
+        assert _minimal_cover_masks(G.adj, (1 << G.n) - 1) == want, G
 
 
 def test_cover_enumeration_is_canonical_without_sorting():
@@ -308,6 +314,51 @@ def test_cover_enumeration_is_canonical_without_sorting():
             size: masks for size, masks in every.items() if size <= top}
         minimal = _minimal_cover_masks(G.adj, active)
         assert minimal == sorted(minimal, key=lambda m: (bin(m).count("1"), _key(m)))
+
+
+def test_stack_walk_matches_the_recursive_walk_on_every_small_graph():
+    # the same masks in the same order as the recursive generator, for every
+    # labelled graph with at most five vertices, every active mask, every
+    # need and both modes
+    for G in _every_labelled_graph(5):
+        for active in range(1 << G.n):
+            for need in range(active.bit_count() + 2):
+                for maximal in (False, True):
+                    assert _independent_sets(G.adj, active, need, maximal) == list(
+                        independent_sets_by_recursion(G.adj, active, need, maximal)), \
+                        (G, active, need, maximal)
+
+
+def test_stack_walk_matches_the_recursive_walk_on_random_graphs():
+    rng = random.Random(31)
+    for k in range(500):
+        n = rng.randint(6, 16)
+        if k % 3 == 0:
+            G, _ = add_whiskers(random_graph(rng, n // 2, rng.choice([0.3, 0.5])),
+                                range(n // 2))
+        else:
+            G = random_graph(rng, n, rng.choice([0.2, 0.4, 0.6]))
+        active = (1 << G.n) - 1 if k % 2 else rng.getrandbits(G.n)
+        need = rng.randint(0, active.bit_count() // 2 + 1) if k % 5 else 0
+        for maximal in (False, True):
+            assert _independent_sets(G.adj, active, need, maximal) == list(
+                independent_sets_by_recursion(G.adj, active, need, maximal)), \
+                (G, active, need, maximal)
+
+
+def test_unmixed_top_component_is_the_dual():
+    # the lemma at has_dual_linear_quotients: on an unmixed graph the
+    # covers of size D are the minimal covers, in the same order; 7 333 of
+    # the 33 868 labelled graphs with at most six vertices are unmixed
+    unmixed = 0
+    for G in _every_labelled_graph(6):
+        dual = alexander_dual_of_edge_ideal(G)
+        if dual.is_equigenerated:
+            unmixed += 1
+            full = (1 << G.n) - 1
+            assert _covers_by_size(G.adj, full, dual.max_degree)[dual.max_degree] == \
+                dual.gen_masks(), G
+    assert unmixed == 7333
 
 
 def test_every_cover_contains_a_minimal_cover():

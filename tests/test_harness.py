@@ -284,7 +284,7 @@ def test_t37_reports_a_failing_class_on_its_representative(monkeypatch):
     # when S is nonempty, each such class fails with its n!/|Aut| pairs
     import edgeideals.harness
     monkeypatch.setattr(edgeideals.harness, "_all_induced_dlq",
-                        lambda adj, smask, memo: bool(smask))
+                        lambda adj, smask, memo, canon: bool(smask))
     report = run_campaign(Campaign("T3.7", max_n=2))
     assert (report.passed, report.failed) == (1 + 2, 1 + 6)
     assert [f["trial"] for f in report.failures] == [2, 5, 8, 9, 10]

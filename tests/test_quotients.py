@@ -680,3 +680,43 @@ def test_listed_remainder_order_verifies():
     q = make_order(dual, [pos[s] for s in seq])
     assert verify_order(q)
     assert q.step_sizes() == [0, 1, 1, 1]
+
+
+def test_unmixed_graph_takes_its_top_component_from_the_dual(monkeypatch):
+    # an unmixed graph's one component is the dual's generator list (the
+    # lemma at has_dual_linear_quotients); a mixed graph still walks
+    from edgeideals import path_graph, quotients
+    walked = []
+    walk = quotients._covers_by_size
+
+    def spy(adj, active, top):
+        walked.append((len(adj), active))
+        return walk(adj, active, top)
+
+    monkeypatch.setattr(quotients, "_covers_by_size", spy)
+    W, _ = add_whiskers(cycle_graph(5), range(5))
+    for G, verdict in ((W, True), (cycle_graph(5), True), (cycle_graph(4), False)):
+        walked.clear()
+        report = has_dual_linear_quotients(G)
+        assert report.dual.is_equigenerated and report.verdict is verdict
+        assert (G.n, (1 << G.n) - 1) not in walked, G
+    for G in (path_graph(3), path_graph(5)):
+        walked.clear()
+        report = has_dual_linear_quotients(G)
+        assert not report.dual.is_equigenerated and report.verdict is True
+        assert (G.n, (1 << G.n) - 1) in walked, G
+
+
+def test_readme_whisker_order_example_runs():
+    # the Library quickstart's whisker_order example prints what it says
+    import contextlib
+    import io
+    import re
+    from pathlib import Path
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block, = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
+              if "whisker_order(" in b]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue() == "True 5\n"
