@@ -22,8 +22,8 @@ from .graphs import (Graph, add_whiskers, delete_vertices, classify_remainder,
 from .monomials import (Monomial, MonomialIdeal, alexander_dual_of_edge_ideal,
                         squarefree_degree_component)
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
-from .homology import (BettiWitness, FieldSpec, GF2, betti_at, is_componentwise_linear,
-                       upper_koszul_complex)
+from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, betti_at,
+                       is_componentwise_linear, nonlinear_witness, upper_koszul_complex)
 
 __all__ = [
     "Verdict",
@@ -134,7 +134,9 @@ def is_sequentially_cm(G: Graph, field: FieldSpec = GF2, *,
 
     Dual linear quotients certify a field-independent True; otherwise the
     dual's componentwise linearity over ``field`` decides, with either a
-    per-degree scan (True) or a nonlinear-syzygy witness (False).
+    per-degree scan (True) or a nonlinear-syzygy witness (False).  The
+    scan runs homology only on the degrees the search left without an
+    order (``_scan_open_degrees``).
     """
     if G.edge_count() == 0:
         return Verdict("SCM", True, field, ZeroIdealConvention(), field_independent=True,
@@ -146,7 +148,7 @@ def is_sequentially_cm(G: Graph, field: FieldSpec = GF2, *,
     notes = ()
     if report.verdict is None:
         notes = ("dual linear quotients undecided within the search budget",)
-    cwl = is_componentwise_linear(report.dual, field)
+    cwl = _scan_open_degrees(report, field)
     if cwl.verdict:
         if report.verdict is False:
             d = report.failing_degree
@@ -160,6 +162,39 @@ def is_sequentially_cm(G: Graph, field: FieldSpec = GF2, *,
                        notes=notes, dual=report.dual)
     d, i, b = cwl.witness
     return Verdict("SCM", False, field, BettiWitness(d, i, b), notes=notes, dual=report.dual)
+
+
+def _scan_open_degrees(report, field: FieldSpec) -> CWLReport:
+    """``is_componentwise_linear(report.dual, field)``, with homology run
+    only on the degrees that the dlq report ``report`` left open.
+
+    Degrees run dmin..D in order and the scan stops at the first failing
+    one, as the full scan does.  A degree with a linear-quotients order is
+    recorded True with no homology: its component has a linear resolution
+    over every field (Herzog-Takayama, the lemma of
+    ``quotients._OrderSearch._order_uncached``).  Over GF(2) a degree the
+    search refuted reuses its witness: ``_OrderSearch._refuted`` ran
+    ``nonlinear_witness`` over GF(2) on the same component (the size-d
+    covers are its generators) and so walked the same sorted lcm lattice
+    to the same first witness.  Every other degree, unknown, skipped or
+    refuted without a witness for this field, is scanned.  The report is
+    therefore the full scan's, degree for degree and witness for witness.
+    """
+    dual = report.dual
+    per_degree = {}
+    for d in range(dual.min_degree, dual.max_degree + 1):
+        if report.per_degree.get(d) is not None:
+            per_degree[d] = True
+            continue
+        if field == GF2 and d in report.witnesses:
+            known = report.witnesses[d]
+            w = (known.index, known.multidegree)
+        else:
+            w = nonlinear_witness(squarefree_degree_component(dual, d), field)
+        per_degree[d] = w is None
+        if w is not None:
+            return CWLReport(dual, field, per_degree, (d, *w))
+    return CWLReport(dual, field, per_degree)
 
 
 def is_cm(G: Graph, field: FieldSpec = GF2, *,
@@ -241,7 +276,8 @@ def necessary_scm(G: Graph, S, field: FieldSpec = GF2) -> SyzygyWitness | None:
     ``quotients._OrderSearch._order_uncached``, after Herzog-Takayama), and
     those above D inherit one (the lemma of ``has_dual_linear_quotients``),
     so no witness exists in any field.  Only a failed or undecided search
-    runs the scan, on the dual the search already built.
+    runs the scan, on the dual the search already built, and only on the
+    degrees it left without an order (``_scan_open_degrees``).
     """
     smask = G._check_vertices(S)
     rest = ((1 << G.n) - 1) & ~smask
@@ -251,7 +287,7 @@ def necessary_scm(G: Graph, S, field: FieldSpec = GF2) -> SyzygyWitness | None:
     report = has_dual_linear_quotients(H, budget=DEFAULT_SEARCH_BUDGET, stop_at_failure=True)
     if report.verdict is True:
         return None
-    w = is_componentwise_linear(report.dual, field).witness
+    w = _scan_open_degrees(report, field).witness
     if w is None:
         return None
     d, i, b_local = w

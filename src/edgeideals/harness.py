@@ -502,6 +502,7 @@ def _run_t37(campaign: Campaign) -> Report:
         for (adj, smask), aut in classes.items():
             weight = factorial(n) // aut
             labelled += weight
+            canon[adj, smask] = adj, smask  # _classes gives canonical forms
             lhs = _all_induced_dlq(_delete_adj(adj, smask), 0, memo, canon)
             rhs = _all_induced_dlq(adj, smask, memo, canon)
             if lhs == rhs:

@@ -8,14 +8,16 @@ package's single-graph dual linear quotients check but none of the sweep's
 canonical forms or memo, and the full-scan form of ``necessary_scm`` calls
 the package's homology scan with no linear-quotients shortcut.  The
 recursive independent-set walk branches as the package's stack walk does
-and is the reference for its masks and their order.
+and is the reference for its masks and their order.  The labelled-graph
+enumeration and the benchmark's field pool are shared test inputs.
 """
 
+import random
 from itertools import combinations, permutations
 from math import factorial
 
 from edgeideals.decide import SyzygyWitness
-from edgeideals.graphs import add_whiskers, delete_vertices, induced_subgraph
+from edgeideals.graphs import Graph, add_whiskers, delete_vertices, induced_subgraph
 from edgeideals.homology import is_componentwise_linear
 from edgeideals.monomials import Monomial, MonomialIdeal, alexander_dual_of_edge_ideal
 from edgeideals.quotients import has_dual_linear_quotients
@@ -38,15 +40,45 @@ def brute_covers(G, d):
 
 
 def brute_minimal_covers(G):
-    """Inclusion-minimal covers by scanning all subsets."""
-    edges = G.edges()
-    covers = []
-    for size in range(G.n + 1):
-        for combo in combinations(range(G.n), size):
-            s = set(combo)
-            if all(u in s or v in s for u, v in edges):
-                covers.append(frozenset(s))
-    return [c for c in covers if not any(o < c for o in covers)]
+    """Inclusion-minimal covers as masks, in increasing order, by scanning
+    all 2^n subsets.  A subset is a cover when its complement holds no edge
+    (built up one lowest vertex at a time); covers are closed under adding
+    vertices, so a cover is minimal when no single-vertex removal is one."""
+    nbrs = [0] * G.n
+    for u, v in G.edges():
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    full = (1 << G.n) - 1
+    edge_free = [True] * (full + 1)
+    for s in range(1, full + 1):
+        low = s & -s
+        edge_free[s] = edge_free[s ^ low] and not nbrs[low.bit_length() - 1] & s
+    out = []
+    for m in range(full + 1):
+        if edge_free[full ^ m]:
+            rest = m
+            while rest:
+                low = rest & -rest
+                if edge_free[full ^ m ^ low]:
+                    break
+                rest ^= low
+            else:
+                out.append(m)
+    return out
+
+
+def field_pool_graph(i):
+    """Graph i of the G(14, 0.3) pool of the benchmark's field workload."""
+    rng = random.Random(i)
+    return Graph(14, [(u, v) for u in range(14) for v in range(u + 1, 14) if rng.random() < 0.3])
+
+
+def every_labelled_graph(max_n):
+    """Every graph on 0..max_n vertices labelled 0..n-1, one per edge set."""
+    for n in range(max_n + 1):
+        slots = list(combinations(range(n), 2))
+        for bits in range(1 << len(slots)):
+            yield Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
 
 
 def independent_sets_by_recursion(adj, verts_mask, need=0, maximal=False, waiting=0):

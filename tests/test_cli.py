@@ -631,3 +631,38 @@ def test_structural_order_bytes_pinned(capsys, tmp_path):
     payload.write_text(out)
     code, out, _ = run(capsys, "verify", str(graph), "--in", str(payload))
     assert code == 0 and out.startswith("verified: true")
+
+
+# SHA-256 of the concatenated `is-scm --json` outputs for the 34 graphs of
+# the benchmark's G(14, 0.3) field pool, and of `is-cm --json` for RP2-SD,
+# per field; recorded before the homology scan skipped the degrees with a
+# linear-quotients order and reused the search's GF(2) witness
+FIELD_POOL_SHA256 = {
+    "2": "fc393e440f8450e6badacabab637ab12b748e41f560b83920234aa48dd23175a",
+    "3": "56eb46b589c89c930e3c9023606b6743bbc1147f1dcf372324f6f66bcd4a790e",
+    "q": "77c04570c89016dc10ab8225143969da9c47ca18f45474bd304247f18a2c5ef1",
+}
+RP2_SD_CM_SHA256 = {
+    "2": "7d1a4be02f3cb0115a5903701e7ed529b6d881271bbc00d922c2eb982473dba3",
+    "3": "dc280d7a1cbc74289273f935c0f2cfa97481ede4d2d3428667aecc4901eef526",
+    "q": "1806148c49279fb155efc950fb4577ee947227e40270004903ec83f637eb9a0d",
+}
+
+
+def test_field_workload_bytes_pinned(capsys, tmp_path):
+    import hashlib
+    from edgeideals.graphs import format_graph
+    from edgeideals.harness import rp2_sd
+    from oracles import field_pool_graph
+    paths = [tmp_path / f"pool{i}.graph" for i in range(34)]
+    for i, path in enumerate(paths):
+        path.write_text(format_graph(field_pool_graph(i)))
+    rp2 = tmp_path / "rp2.graph"
+    rp2.write_text(format_graph(rp2_sd()))
+    for field in ("2", "3", "q"):
+        pool = hashlib.sha256()
+        for path in paths:
+            pool.update(run(capsys, "is-scm", str(path), "--field", field, "--json")[1].encode())
+        _, out, _ = run(capsys, "is-cm", str(rp2), "--field", field, "--json")
+        assert pool.hexdigest() == FIELD_POOL_SHA256[field]
+        assert hashlib.sha256(out.encode()).hexdigest() == RP2_SD_CM_SHA256[field]

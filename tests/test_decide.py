@@ -9,11 +9,11 @@ from edgeideals import (GF2, GF3, QQ, Graph, InputError, add_whiskers,
                         is_chordal, is_componentwise_linear, is_sequentially_cm,
                         necessary_scm, path_graph, squarefree_degree_component,
                         sufficient_scm, verify_order)
-from edgeideals.decide import (BettiWitness, ComponentwiseScan, QuotientCertificates,
-                               ZeroIdealConvention)
+from edgeideals.decide import (DEFAULT_SEARCH_BUDGET, BettiWitness, ComponentwiseScan,
+                               QuotientCertificates, ZeroIdealConvention)
 from edgeideals.monomials import Monomial
 
-from oracles import necessary_scm_by_full_scan
+from oracles import field_pool_graph, necessary_scm_by_full_scan
 
 
 def random_graph(rng, n, p):
@@ -251,9 +251,9 @@ def test_necessary_scans_when_the_search_overruns(monkeypatch):
     monkeypatch.setattr(edgeideals.decide, "DEFAULT_SEARCH_BUDGET", 0)
     assert has_dual_linear_quotients(delete_vertices(G, S), budget=0).verdict is None
     scans = []
-    real = edgeideals.decide.is_componentwise_linear
-    monkeypatch.setattr(edgeideals.decide, "is_componentwise_linear",
-                        lambda I, f: scans.append(f) or real(I, f))
+    real = edgeideals.decide._scan_open_degrees
+    monkeypatch.setattr(edgeideals.decide, "_scan_open_degrees",
+                        lambda report, f: scans.append(f) or real(report, f))
     for f, w in full.items():
         assert necessary_scm(G, S, f) == w == necessary_scm_by_full_scan(G, S, f)
     assert scans == [GF2, QQ]
@@ -316,7 +316,6 @@ def test_budget_exhaustion_falls_back_to_homology():
 def test_rp2_sd_depends_on_the_field():
     # Katzman's example: CM over GF(3) and Q but not over GF(2); a GF(2)
     # Betti witness rules out dual linear quotients in every field
-    from edgeideals.decide import DEFAULT_SEARCH_BUDGET
     from edgeideals.harness import rp2_sd
     G = rp2_sd()
     assert not is_cm(G, GF2).value
@@ -489,13 +488,11 @@ def test_field_pool_verdicts_match_the_recorded_reference():
     # the G(14, 0.3) pool of the benchmark's field workload, with the
     # verdicts recorded in perfbench/reference.json before evidence stopped at D
     import json
-    from itertools import combinations
     from pathlib import Path
     ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
                      .read_text())
     for i in range(len(ref["verdicts"]["2"])):
-        rng = random.Random(i)
-        G = Graph(14, [(u, v) for u, v in combinations(range(14), 2) if rng.random() < 0.3])
+        G = field_pool_graph(i)
         for key, field in (("2", GF2), ("3", GF3), ("q", QQ)):
             assert is_sequentially_cm(G, field).value is (ref["verdicts"][key][i] == "T"), (i, key)
 
@@ -515,3 +512,56 @@ def test_scan_evidence_names_exactly_dmin_to_d():
         data["evidence"]["per_degree"] = per
         assert check_evidence(G, data) == (
             False, "componentwise-scan degrees are not the dual's dmin..D")
+
+
+def test_scan_of_open_degrees_equals_the_full_scan():
+    # the shortcut records each degree with an order as linear and, over
+    # GF(2), reuses the search's witness; degree for degree and witness for
+    # witness it must answer as the full scan, in every field.  Covered:
+    # RP2-SD (refuted over GF(2) only), the 34 graphs of the field pool,
+    # every labelled graph with at most five vertices, and budget 0
+    from edgeideals.decide import _scan_open_degrees
+    from edgeideals.harness import rp2_sd
+    from oracles import every_labelled_graph
+    cases = [(rp2_sd(), 20_000), (rp2_sd(), 0)]
+    cases += [(field_pool_graph(i), 20_000) for i in range(34)]
+    cases += [(G, b) for G in every_labelled_graph(5) if G.edge_count() for b in (20_000, 0)]
+    seen = {"order": 0, "witness": 0, "unknown": 0}
+    for G, budget in cases:
+        report = has_dual_linear_quotients(G, budget=budget, stop_at_failure=True)
+        if report.verdict is True:
+            continue
+        seen["order"] += any(q is not None for q in report.per_degree.values())
+        seen["witness"] += bool(report.witnesses)
+        seen["unknown"] += bool(report.unknown)
+        for field in (GF2, GF3, QQ):
+            got = _scan_open_degrees(report, field)
+            want = is_componentwise_linear(report.dual, field)
+            assert (got.per_degree, got.witness) == (want.per_degree, want.witness), (G, budget)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_componentwise_scan_check_scans_every_degree(monkeypatch):
+    # verify takes no shortcut: re-checking a componentwise-scan verdict
+    # runs the full scan, with homology on every degree dmin..D, also on
+    # the degrees the order search settled when the verdict was made.  With
+    # no search budget, pool graph 2 has identity orders in degrees 6 and 10
+    # and leaves 7..9 unknown
+    import edgeideals.decide
+    import edgeideals.homology
+    G = field_pool_graph(2)
+    report = has_dual_linear_quotients(G, budget=0, stop_at_failure=True)
+    assert sorted(report.certificates()) == [6, 10] and report.unknown == (7, 8, 9)
+    scans, degrees = [], []
+    real_scan, real_witness = is_componentwise_linear, edgeideals.homology.nonlinear_witness
+    monkeypatch.setattr(edgeideals.decide, "is_componentwise_linear",
+                        lambda I, f: scans.append(f) or real_scan(I, f))
+    for module in (edgeideals.decide, edgeideals.homology):
+        monkeypatch.setattr(module, "nonlinear_witness", lambda M, f, spend=None:
+                            degrees.append(M.min_degree) or real_witness(M, f, spend))
+    data = is_sequentially_cm(G, QQ, search_budget=0).to_json(G.labels)
+    assert data["evidence"]["kind"] == "componentwise-scan"
+    assert scans == [] and degrees == [7, 8, 9]
+    degrees.clear()
+    assert check_evidence(G, data) == (True, "verdict verified")
+    assert scans == [QQ] and degrees == [6, 7, 8, 9, 10]

@@ -13,8 +13,8 @@ from edgeideals.graphs import (_covers_by_size, _independent_sets, _induces_one_
                                _mask_of, _minimal_cover_masks)
 from edgeideals.monomials import alexander_dual_of_edge_ideal
 
-from oracles import (brute_covers, brute_minimal_covers, independent_sets_by_recursion,
-                     induces_one_cycle_by_union_find)
+from oracles import (brute_covers, brute_minimal_covers, every_labelled_graph,
+                     independent_sets_by_recursion, induces_one_cycle_by_union_find)
 
 
 def ex38_base():
@@ -271,7 +271,7 @@ def test_minimal_covers_match_oracle_and_exclude_isolated():
         n = rng.randint(1, 8)
         G = random_graph(rng, n, 0.35)
         got = minimal_vertex_covers(G)
-        assert sorted(map(sorted, got)) == sorted(map(sorted, brute_minimal_covers(G)))
+        assert sorted(map(_mask_of, got)) == brute_minimal_covers(G)
         isolated = G.isolated_vertices()
         assert all(not (c & isolated) for c in got)
         # antichain
@@ -280,20 +280,12 @@ def test_minimal_covers_match_oracle_and_exclude_isolated():
                 assert a == b or not a < b
 
 
-def _every_labelled_graph(max_n):
-    for n in range(max_n + 1):
-        slots = list(combinations(range(n), 2))
-        for bits in range(1 << len(slots)):
-            yield Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
-
-
 def test_minimal_cover_masks_match_oracle_on_every_small_graph():
     # the enumeration visits only maximal independent sets; every labelled
     # graph with at most six vertices gets the oracle's covers in canonical
     # order (by size, then lexicographic on sorted vertices)
-    for G in _every_labelled_graph(6):
-        want = sorted((_mask_of(c) for c in brute_minimal_covers(G)),
-                      key=lambda m: (m.bit_count(), _key(m)))
+    for G in every_labelled_graph(6):
+        want = sorted(brute_minimal_covers(G), key=lambda m: (m.bit_count(), _key(m)))
         assert _minimal_cover_masks(G.adj, (1 << G.n) - 1) == want, G
 
 
@@ -320,7 +312,7 @@ def test_stack_walk_matches_the_recursive_walk_on_every_small_graph():
     # the same masks in the same order as the recursive generator, for every
     # labelled graph with at most five vertices, every active mask, every
     # need and both modes
-    for G in _every_labelled_graph(5):
+    for G in every_labelled_graph(5):
         for active in range(1 << G.n):
             for need in range(active.bit_count() + 2):
                 for maximal in (False, True):
@@ -351,7 +343,7 @@ def test_unmixed_top_component_is_the_dual():
     # covers of size D are the minimal covers, in the same order; 7 333 of
     # the 33 868 labelled graphs with at most six vertices are unmixed
     unmixed = 0
-    for G in _every_labelled_graph(6):
+    for G in every_labelled_graph(6):
         dual = alexander_dual_of_edge_ideal(G)
         if dual.is_equigenerated:
             unmixed += 1

@@ -264,6 +264,26 @@ def test_t37_sweeps_through_six_vertices_at_most(monkeypatch):
     assert limits == [4, 6, 6, 6]
 
 
+def test_t37_computes_no_canonical_form_of_a_class_representative(monkeypatch):
+    # _classes yields canonical forms, so the sweep seeds them into its map
+    # of canonical forms; through five vertices the recursion computes 142
+    # forms, all of them of deletions
+    import sys
+    import edgeideals.harness
+    reps = {key for _, classes in _classes(5) for key in classes}
+    inputs = []
+
+    def spy(adj, smask):
+        if sys._getframe(1).f_code.co_name == "_all_induced_dlq":
+            inputs.append((adj, smask))
+        return _canonical(adj, smask)
+
+    monkeypatch.setattr(edgeideals.harness, "_canonical", spy)
+    report = run_campaign(Campaign("T3.7", max_n=5))
+    assert (report.passed, report.failed) == (33_866, 0)
+    assert len(inputs) == 142 and not reps.intersection(inputs)
+
+
 def test_t37_refuses_classes_short_of_the_labelled_total(monkeypatch):
     # a class missing from the enumeration must raise, under -O as well
     import edgeideals.harness
