@@ -15,7 +15,7 @@ from .quotients import (QuotientOrder, DLQReport, make_order, verify_order, find
 from .homology import (FieldSpec, GF2, GF3, QQ, SimplicialComplex, BettiTable,
                        CWLReport, upper_koszul_complex, reduced_homology_ranks,
                        betti_numbers, betti_at,
-                       has_linear_resolution, nonlinear_witness, is_componentwise_linear)
+                       nonlinear_witness, is_componentwise_linear)
 from .decide import (Verdict, SyzygyWitness, TheoremHit, is_sequentially_cm, is_cm,
                      sufficient_scm, necessary_scm, check_koszul_lift, check_evidence)
 from .harness import (Campaign, Report, FixtureResult, run_campaign, run_fixture,

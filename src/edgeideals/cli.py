@@ -333,10 +333,7 @@ def main(argv=None) -> int:
     args.t0 = time.perf_counter()
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SearchBudgetExceeded as exc:
+    except (InputError, SearchBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

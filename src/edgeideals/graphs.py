@@ -183,14 +183,8 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def neighbors(self, v: int) -> frozenset:
-        return frozenset(_bits(self.adj[v]))
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
-
-    def isolated_vertices(self) -> frozenset:
-        return frozenset(v for v in range(self.n) if self.adj[v] == 0)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -217,10 +211,6 @@ class WhiskerMap:
     """Pairs (base vertex, new pendant vertex) added by ``add_whiskers``."""
 
     pairs: tuple
-
-    @property
-    def tips(self) -> frozenset:
-        return frozenset(t for _, t in self.pairs)
 
 
 @dataclass(frozen=True)

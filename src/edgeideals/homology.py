@@ -29,7 +29,6 @@ __all__ = [
     "reduced_homology_ranks",
     "betti_numbers",
     "betti_at",
-    "has_linear_resolution",
     "nonlinear_witness",
     "is_componentwise_linear",
 ]
@@ -69,14 +68,6 @@ class FieldSpec:
             raise InputError(f"{p} is not prime")
 
     @classmethod
-    def rationals(cls) -> "FieldSpec":
-        return cls(None)
-
-    @classmethod
-    def prime(cls, p: int) -> "FieldSpec":
-        return cls(p)
-
-    @classmethod
     def parse(cls, text: str) -> "FieldSpec":
         t = text.strip().lower() if isinstance(text, str) else ""
         if t in ("q", "0", "rationals"):
@@ -97,9 +88,9 @@ class FieldSpec:
         return "q" if self.characteristic is None else str(self.characteristic)
 
 
-GF2 = FieldSpec.prime(2)
-GF3 = FieldSpec.prime(3)
-QQ = FieldSpec.rationals()
+GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
+QQ = FieldSpec(None)
 
 
 class SimplicialComplex:
@@ -124,26 +115,9 @@ class SimplicialComplex:
         kept.sort(key=_key)
         self.facets = tuple(kept)
 
-    @classmethod
-    def from_vertex_sets(cls, ground, facets) -> "SimplicialComplex":
-        gm = 0
-        for v in ground:
-            gm |= 1 << v
-        fm = []
-        for f in facets:
-            m = 0
-            for v in f:
-                m |= 1 << v
-            fm.append(m)
-        return cls(gm, fm)
-
     @property
     def is_void(self) -> bool:
         return not self.facets
-
-    @property
-    def is_irrelevant(self) -> bool:
-        return self.facets == (0,)
 
     @property
     def dim(self):
@@ -169,9 +143,6 @@ class SimplicialComplex:
         for k in out:
             out[k].sort(key=_key)
         return out
-
-    def face_sets(self) -> set:
-        return {frozenset(_bits(m)) for m in self.face_masks()}
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -341,14 +312,6 @@ class BettiTable:
     entries: dict | None = None
     field: FieldSpec | None = None
 
-    def total(self, i: int, j: int) -> int:
-        return self.totals.get((i, j), 0)
-
-    def multigraded(self, i: int, b) -> int:
-        if self.entries is None:
-            raise InputError("this table has no multigraded entries")
-        return self.entries.get((i, frozenset(b)), 0)
-
     def to_text(self) -> str:
         if not self.totals:
             return "(zero table)\n"
@@ -445,11 +408,6 @@ def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2, spend=None):
             if ranks[j] and size != d + j + 1:
                 return (j + 1, frozenset(_bits(b)))
     return None
-
-
-def has_linear_resolution(M: MonomialIdeal, field: FieldSpec = GF2) -> bool:
-    """True when every nonzero beta_{i,j} sits in degree j = d + i."""
-    return nonlinear_witness(M, field) is None
 
 
 @dataclass(frozen=True)

@@ -54,21 +54,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return self.mask & ~other.mask == 0
 
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial.from_mask(self.mask & other.mask)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial.from_mask(self.mask | other.mask)
-
-    def colon(self, other: "Monomial") -> "Monomial":
-        """self / gcd(self, other): the support difference."""
-        return Monomial.from_mask(self.mask & ~other.mask)
-
-    def times(self, other: "Monomial") -> "Monomial":
-        if self.mask & other.mask:
-            raise InputError("product is not square-free")
-        return Monomial.from_mask(self.mask | other.mask)
-
     @property
     def sort_key(self) -> tuple:
         return (self.degree, tuple(_bits(self.mask)))
@@ -148,21 +133,9 @@ class MonomialIdeal:
         out.sort(key=lambda g: g.sort_key)
         return cls._from_canonical(ambient, out)
 
-    @classmethod
-    def zero(cls, ambient: int) -> "MonomialIdeal":
-        return cls(ambient, ())
-
-    @classmethod
-    def unit(cls, ambient: int) -> "MonomialIdeal":
-        return cls(ambient, (Monomial(()),))
-
     @property
     def is_zero(self) -> bool:
         return not self.gens
-
-    @property
-    def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].mask == 0
 
     @property
     def min_degree(self):
@@ -175,9 +148,6 @@ class MonomialIdeal:
     @property
     def is_equigenerated(self) -> bool:
         return self.min_degree == self.max_degree
-
-    def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
 
     def gen_masks(self) -> list:
         return [g.mask for g in self.gens]

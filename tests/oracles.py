@@ -25,7 +25,8 @@ from edgeideals.quotients import has_dual_linear_quotients
 
 def colon_by_monomial(I, u):
     """I : (u), minimally generated."""
-    return MonomialIdeal.from_generators(I.ambient, [g.colon(u) for g in I.gens])
+    return MonomialIdeal.from_generators(
+        I.ambient, [Monomial.from_mask(g.mask & ~u.mask) for g in I.gens])
 
 
 def brute_covers(G, d):
@@ -168,7 +169,7 @@ def tip_induced_dlq_by_enumeration(G, S):
     plus every tip, tips whose base is not in U sitting isolated.
     """
     W, wm = add_whiskers(G, S)
-    tips = sorted(wm.tips)
+    tips = [t for _, t in wm.pairs]
     for umask in range(1 << G.n):
         keep = [v for v in range(G.n) if umask >> v & 1] + tips
         if not has_dual_linear_quotients(induced_subgraph(W, keep),

@@ -21,11 +21,6 @@ def test_monomial_basics():
     m = M(0, 2, 3)
     assert m.degree == 3 and m.support == {0, 2, 3}
     assert M(0, 2).divides(m) and not m.divides(M(0, 2))
-    assert m.gcd(M(2, 4)).support == {2}
-    assert m.lcm(M(2, 4)).support == {0, 2, 3, 4}
-    assert m.colon(M(0, 4)).support == {2, 3}
-    with pytest.raises(InputError):
-        M(0, 2).times(M(2))
 
 
 def test_ideal_canonical_order_and_minimality():
@@ -40,11 +35,12 @@ def test_ideal_canonical_order_and_minimality():
 
 
 def test_zero_and_unit_conventions():
-    z = MonomialIdeal.zero(4)
-    u = MonomialIdeal.unit(4)
-    assert z.is_zero and not z.is_unit
-    assert u.is_unit and not u.is_zero
-    assert u.contains(M(1)) and not z.contains(M(1))
+    z = MonomialIdeal(4, ())
+    u = MonomialIdeal(4, (M(),))
+    assert z.is_zero and z.gens != (M(),)
+    assert u.gens == (M(),) and not u.is_zero
+    assert any(h.mask & ~M(1).mask == 0 for h in u.gens)
+    assert not any(h.mask & ~M(1).mask == 0 for h in z.gens)
 
 
 def test_edge_ideal_examples():
@@ -68,7 +64,7 @@ def test_dual_examples():
 
 
 def test_dual_of_edgeless_is_unit():
-    assert alexander_dual_of_edge_ideal(Graph(3)).is_unit
+    assert alexander_dual_of_edge_ideal(Graph(3)).gens == (M(),)
 
 
 def test_dual_passes_the_checking_constructor():
@@ -135,7 +131,8 @@ def test_component_monotone():
             for g in comp.gens:
                 for v in range(G.n):
                     if v not in g.support:
-                        assert nxt.contains(g.times(M(v)))
+                        up = g.mask | 1 << v
+                        assert any(h.mask & ~up == 0 for h in nxt.gens)
 
 
 def test_colon_examples():
@@ -145,7 +142,7 @@ def test_colon_examples():
     prefix = MonomialIdeal.from_generators(5, list(c5.gens[:4]))
     got = colon_by_monomial(prefix, M(1, 3, 4))
     assert [sorted(g.support) for g in got.gens] == [[0], [2]]
-    assert colon_by_monomial(c5, M(0, 1, 3)).is_unit
+    assert colon_by_monomial(c5, M(0, 1, 3)).gens == (M(),)
 
 
 def test_minimalize_examples():
@@ -176,7 +173,8 @@ def test_colon_contains_image_and_is_minimal():
         u = M(*rng.sample(range(G.n), rng.randint(1, G.n)))
         C = colon_by_monomial(I, u)
         for g in I.gens:
-            assert C.contains(g.colon(u))
+            image = g.mask & ~u.mask
+            assert any(h.mask & ~image == 0 for h in C.gens)
         for a in C.gens:
             for b in C.gens:
                 assert a == b or not a.divides(b)

@@ -7,7 +7,7 @@ from edgeideals import (Graph, InputError, Monomial, MonomialIdeal, QuotientOrde
                         add_whiskers, alexander_dual_of_edge_ideal, cycle_graph,
                         delete_vertices, find_order,
                         has_dual_linear_quotients, induced_subgraph,
-                        has_linear_resolution, is_chordal, make_order,
+                        is_chordal, make_order, nonlinear_witness,
                         squarefree_degree_component, verify_order,
                         whisker_order)
 from edgeideals.graphs import _bits, _mask_of
@@ -230,8 +230,8 @@ def test_find_order_trivial_cases():
     single = MonomialIdeal.from_generators(3, [M([0, 1])])
     q = find_order(single)
     assert verify_order(q) and q.colon_vars == (frozenset(),)
-    assert verify_order(find_order(MonomialIdeal.zero(3)))
-    assert verify_order(find_order(MonomialIdeal.unit(3)))
+    assert verify_order(find_order(MonomialIdeal(3, ())))
+    assert verify_order(find_order(MonomialIdeal(3, (M(()),))))
 
 
 def test_find_order_requires_equigenerated():
@@ -345,7 +345,7 @@ def test_dlq_implies_linear_resolution():
         report = has_dual_linear_quotients(G)
         for d, q in _full_certificates(G, report).items():
             comp = q.ideal
-            assert has_linear_resolution(comp)
+            assert nonlinear_witness(comp) is None
             checked += 1
         if checked >= 60:
             break
@@ -495,7 +495,7 @@ def test_subgraph_induction_claim_desk_scale():
         W, wm = add_whiskers(G0, S)
         if W.n > 9:
             continue
-        tips = sorted(wm.tips)
+        tips = [t for _, t in wm.pairs]
         y, x = wm.pairs[-1]
         lead = tips[:-1]
         others = [v for v in range(W.n) if v not in (x, y) and v not in lead]
@@ -708,15 +708,23 @@ def test_unmixed_graph_takes_its_top_component_from_the_dual(monkeypatch):
 
 
 def test_readme_whisker_order_example_runs():
-    # the Library quickstart's whisker_order example prints what it says
+    # the Library quickstart's examples (the quickstart block, the
+    # QuotientOrder block and the whisker_order block) print what they say
     import contextlib
     import io
     import re
     from pathlib import Path
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block, = [b for b in re.findall(r"```python\n(.*?)```", readme, re.S)
-              if "whisker_order(" in b]
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        exec(block, {})
-    assert out.getvalue() == "True 5\n"
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    expected = {
+        "sufficient_scm(": "True\nTrue\nchordal-remainder\n2 1 [0, 1, 2, 3]\nTrue\n",
+        "step_sizes()": "['0b1011', '0b1101', '0b10101', '0b10110', '0b11010'] "
+                        "[0, 1, 1, 1, 2] True\n",
+        "whisker_order(": "True 5\n",
+    }
+    for marker, want in expected.items():
+        block, = [b for b in blocks if marker in b]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(block, {})
+        assert out.getvalue() == want, marker
