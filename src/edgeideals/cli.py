@@ -56,9 +56,9 @@ def _read_text(path: str) -> str:
 
 def _load_graph(args) -> Graph:
     G = parse_graph(_read_text(args.graph))
-    if getattr(args, "whisker", None):
+    if args.whisker:
         G, _ = add_whiskers(G, _parse_vertex_list(args.whisker, G.n, "whisker"))
-    if getattr(args, "delete", None):
+    if args.delete:
         G = delete_vertices(G, _parse_vertex_list(args.delete, G.n, "delete"))
     return G
 
@@ -165,16 +165,10 @@ def _verdict_text(v, labels) -> str:
     return line + "\n"
 
 
-def _cmd_is_scm(args) -> int:
+def _cmd_decide(args) -> int:
+    """is-scm and is-cm: ``args.decide`` is the deciding function."""
     G = _load_graph(args)
-    v = is_sequentially_cm(G, FieldSpec.parse(args.field))
-    _emit(args, v.to_json(G.labels), _verdict_text(v, G.labels))
-    return 0 if v.value else 1
-
-
-def _cmd_is_cm(args) -> int:
-    G = _load_graph(args)
-    v = is_cm(G, FieldSpec.parse(args.field))
+    v = args.decide(G, FieldSpec.parse(args.field))
     _emit(args, v.to_json(G.labels), _verdict_text(v, G.labels))
     return 0 if v.value else 1
 
@@ -225,13 +219,12 @@ def _cmd_fixture(args) -> int:
 # parser
 
 
-def _add_graph_options(p, transforms=True):
+def _add_graph_options(p):
     p.add_argument("graph", help="graph file in 'n m' + edge-list format, or - for stdin")
-    if transforms:
-        p.add_argument("--whisker", metavar="V1,V2,...",
-                       help="attach a pendant vertex at each listed vertex (1-based; applied first)")
-        p.add_argument("--delete", metavar="V1,V2,...",
-                       help="delete the listed vertices (1-based; applied after --whisker)")
+    p.add_argument("--whisker", metavar="V1,V2,...",
+                   help="attach a pendant vertex at each listed vertex (1-based; applied first)")
+    p.add_argument("--delete", metavar="V1,V2,...",
+                   help="delete the listed vertices (1-based; applied after --whisker)")
 
 
 def _add_output_options(p, field=True):
@@ -281,12 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("is-scm", help="sequentially Cohen-Macaulay verdict")
     _add_graph_options(p)
     _add_output_options(p)
-    p.set_defaults(fn=_cmd_is_scm)
+    p.set_defaults(fn=_cmd_decide, decide=is_sequentially_cm)
 
     p = sub.add_parser("is-cm", help="Cohen-Macaulay verdict")
     _add_graph_options(p)
     _add_output_options(p)
-    p.set_defaults(fn=_cmd_is_cm)
+    p.set_defaults(fn=_cmd_decide, decide=is_cm)
 
     p = sub.add_parser("whisker", help="print the transformed graph")
     _add_graph_options(p)

@@ -19,11 +19,11 @@ from itertools import combinations
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, add_whiskers, delete_vertices, classify_remainder,
                      RemainderClass, _bits, _mask_of)
-from .monomials import (Monomial, MonomialIdeal, alexander_dual_of_edge_ideal,
-                        squarefree_degree_component)
+from .monomials import Monomial, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, betti_at,
-                       is_componentwise_linear, nonlinear_witness, upper_koszul_complex)
+                       is_componentwise_linear, reduced_homology_ranks, upper_koszul_complex,
+                       _componentwise_scan, _koszul_complex)
 
 __all__ = [
     "Verdict",
@@ -168,33 +168,23 @@ def _scan_open_degrees(report, field: FieldSpec) -> CWLReport:
     """``is_componentwise_linear(report.dual, field)``, with homology run
     only on the degrees that the dlq report ``report`` left open.
 
-    Degrees run dmin..D in order and the scan stops at the first failing
-    one, as the full scan does.  A degree with a linear-quotients order is
-    recorded True with no homology: its component has a linear resolution
-    over every field (Herzog-Takayama, the lemma of
-    ``quotients._OrderSearch._order_uncached``).  Over GF(2) a degree the
-    search refuted reuses its witness: ``_OrderSearch._refuted`` ran
-    ``nonlinear_witness`` over GF(2) on the same component (the size-d
-    covers are its generators) and so walked the same sorted lcm lattice
-    to the same first witness.  Every other degree, unknown, skipped or
-    refuted without a witness for this field, is scanned.  The report is
-    therefore the full scan's, degree for degree and witness for witness.
+    It runs the full scan's own loop, ``homology._componentwise_scan``,
+    told which degrees are already settled.  A degree with a
+    linear-quotients order is settled linear with no homology: its
+    component has a linear resolution over every field (Herzog-Takayama,
+    the lemma of ``quotients._OrderSearch._order_uncached``).  Over GF(2) a
+    degree the search refuted is settled by its witness:
+    ``_OrderSearch._refuted`` ran ``nonlinear_witness`` over GF(2) on the
+    same component (the size-d covers are its generators) and so walked
+    the same sorted lcm lattice to the same first witness.  Every other
+    degree, unknown, skipped or refuted without a witness for this field,
+    is scanned.  The report is therefore the full scan's, degree for
+    degree and witness for witness.
     """
-    dual = report.dual
-    per_degree = {}
-    for d in range(dual.min_degree, dual.max_degree + 1):
-        if report.per_degree.get(d) is not None:
-            per_degree[d] = True
-            continue
-        if field == GF2 and d in report.witnesses:
-            known = report.witnesses[d]
-            w = (known.index, known.multidegree)
-        else:
-            w = nonlinear_witness(squarefree_degree_component(dual, d), field)
-        per_degree[d] = w is None
-        if w is not None:
-            return CWLReport(dual, field, per_degree, (d, *w))
-    return CWLReport(dual, field, per_degree)
+    known = {d: None for d, q in report.per_degree.items() if q is not None}
+    if field == GF2:
+        known.update((d, (w.index, w.multidegree)) for d, w in report.witnesses.items())
+    return _componentwise_scan(report.dual, field, known)
 
 
 def is_cm(G: Graph, field: FieldSpec = GF2, *,
@@ -400,7 +390,7 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     if not dual.min_degree <= d <= dual.max_degree:
         return f"witness degree {d} lies outside the dual's degrees " \
                f"{dual.min_degree}..{dual.max_degree}"
-    x_b = Monomial(b)
+    x_b = _mask_of(b)
     # the complex at b sees only the generators of the degree-d component
     # dividing x^b: the d-subsets of b that hold a generator of the dual.
     # Each of these F leaves a facet of |b| - d vertices, so F is counted
@@ -408,16 +398,14 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     limit = DEFAULT_SEARCH_BUDGET >> max(len(b) - d, 0)
     inside = set()
     for g in dual.gens:
-        if g.mask & ~x_b.mask == 0 and g.degree <= d:
-            for extra in combinations(_bits(x_b.mask & ~g.mask), d - g.degree):
+        if g.mask & ~x_b == 0 and g.degree <= d:
+            for extra in combinations(_bits(x_b & ~g.mask), d - g.degree):
                 inside.add(g.mask | _mask_of(extra))
                 if len(inside) > limit:
                     raise SearchBudgetExceeded(
                         f"witness complex may have over {DEFAULT_SEARCH_BUDGET} faces: more "
                         f"than {limit} generators divide x^b, each leaving {len(b) - d} vertices")
-    comp = MonomialIdeal._from_canonical(dual.ambient, sorted(
-        map(Monomial.from_mask, inside), key=lambda g: g.sort_key))
-    if betti_at(comp, x_b, i, field) == 0:
+    if reduced_homology_ranks(_koszul_complex(inside, x_b), field).get(i - 1, 0) == 0:
         return "witness Betti number vanishes on re-computation"
     return None
 

@@ -14,7 +14,7 @@ from math import gcd
 
 from .errors import InputError
 from .graphs import _bits, _default_labels, _key
-from .monomials import Monomial, MonomialIdeal, squarefree_degree_component
+from .monomials import Monomial, MonomialIdeal, _minimal_masks, squarefree_degree_component
 
 __all__ = [
     "FieldSpec",
@@ -96,24 +96,22 @@ QQ = FieldSpec(None)
 class SimplicialComplex:
     """Face complex stored by its facets (masks over variable indices).
 
-    No facets at all is the void complex; the single facet 1 (empty mask)
-    is the irrelevant complex whose only face is the empty set.
+    The facets are the inclusion-maximal members of the given family, kept
+    as a tuple of increasing ints: ranks of homology read no order, so none
+    is imposed beyond a canonical one.  No facets at all is the void
+    complex; the single facet 1 (empty mask) is the irrelevant complex
+    whose only face is the empty set.
     """
 
     __slots__ = ("ground", "facets")
 
     def __init__(self, ground: int, facets):
+        facets = set(facets)
+        if any(m & ~ground for m in facets):
+            raise InputError("facet outside the ground set")
         self.ground = ground
-        # keep only inclusion-maximal faces
-        cand = sorted(set(facets), key=lambda m: -m.bit_count())
-        kept = []
-        for m in cand:
-            if m & ~ground:
-                raise InputError("facet outside the ground set")
-            if not any(m & ~k == 0 for k in kept):
-                kept.append(m)
-        kept.sort(key=_key)
-        self.facets = tuple(kept)
+        # a facet is maximal exactly when its complement in ground is minimal
+        self.facets = tuple(sorted(ground ^ c for c in _minimal_masks(ground ^ m for m in facets)))
 
     @property
     def is_void(self) -> bool:
@@ -140,8 +138,6 @@ class SimplicialComplex:
         out = {}
         for m in self.face_masks():
             out.setdefault(m.bit_count(), []).append(m)
-        for k in out:
-            out[k].sort(key=_key)
         return out
 
     def __eq__(self, other):
@@ -167,8 +163,13 @@ def upper_koszul_complex(M: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     full = (1 << M.ambient) - 1
     if b.mask & ~full:
         raise InputError("multidegree outside the ambient variables")
-    facets = [b.mask & ~g.mask for g in M.gens if g.mask & ~b.mask == 0]
-    return SimplicialComplex(b.mask, facets)
+    return _koszul_complex(M.gen_masks(), b.mask)
+
+
+def _koszul_complex(gens, b: int) -> SimplicialComplex:
+    """The upper Koszul complex at the mask ``b`` of the ideal generated by
+    the masks ``gens``: one facet b minus g per generator g inside b."""
+    return SimplicialComplex(b, [b & ~g for g in gens if g & ~b == 0])
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +346,18 @@ class BettiTable:
         return out
 
 
-def _lcm_lattice(M: MonomialIdeal, spend=None) -> list:
-    """All unions of nonempty sets of generator supports, deduplicated.
+def _lcm_lattice(gens, spend=None) -> list:
+    """All unions of nonempty sets of the generator masks ``gens``,
+    deduplicated, by size and then lexicographically.  Ranks read no order,
+    but the first witness a scan meets here is the evidence it reports.
 
     ``spend(k)``, when given, is charged k units as k new elements join.
     """
     lattice = set()
-    for g in M.gens:
+    for g in gens:
         size = len(lattice)
-        lattice |= {x | g.mask for x in lattice}
-        lattice.add(g.mask)
+        lattice |= {x | g for x in lattice}
+        lattice.add(g)
         if spend is not None:
             spend(len(lattice) - size)
     return sorted(lattice, key=lambda m: (m.bit_count(), _key(m)))
@@ -368,8 +371,9 @@ def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     """
     entries = {}
     totals = {}
-    for b in _lcm_lattice(M):
-        ranks = reduced_homology_ranks(upper_koszul_complex(M, Monomial.from_mask(b)), field)
+    gens = M.gen_masks()
+    for b in _lcm_lattice(gens):
+        ranks = reduced_homology_ranks(_koszul_complex(gens, b), field)
         size = b.bit_count()
         for j, r in ranks.items():
             if r:
@@ -401,8 +405,9 @@ def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2, spend=None):
     if not M.is_equigenerated:
         raise InputError("linear-resolution test needs an equigenerated ideal")
     d = M.min_degree
-    for b in _lcm_lattice(M, spend):
-        ranks = reduced_homology_ranks(upper_koszul_complex(M, Monomial.from_mask(b)), field)
+    gens = M.gen_masks()
+    for b in _lcm_lattice(gens, spend):
+        ranks = reduced_homology_ranks(_koszul_complex(gens, b), field)
         size = b.bit_count()
         for j in sorted(ranks):
             if ranks[j] and size != d + j + 1:
@@ -451,14 +456,26 @@ def is_componentwise_linear(I: MonomialIdeal, field: FieldSpec = GF2) -> CWLRepo
     Degrees run from the least to the largest generator degree: above it,
     components inherit a linear resolution (the lemma of
     ``quotients.has_dual_linear_quotients``).  The scan stops at the first
-    failing degree, whose witness is recorded.
+    failing degree, whose witness is recorded.  Homology runs on every
+    degree; ``decide._scan_open_degrees`` is the same scan with the degrees
+    the order search settled filled in.
     """
+    return _componentwise_scan(I, field, {})
+
+
+def _componentwise_scan(I: MonomialIdeal, field: FieldSpec, known: dict) -> CWLReport:
+    """The degree loop of ``is_componentwise_linear``.  ``known`` maps each
+    degree already settled without homology to its witness (i, multidegree),
+    or to None when its component has a linear resolution; homology runs on
+    every other degree."""
     per_degree = {}
     if I.is_zero:
         return CWLReport(I, field, per_degree)
     for d in range(I.min_degree, I.max_degree + 1):
-        comp = squarefree_degree_component(I, d)
-        w = nonlinear_witness(comp, field)
+        if d in known:
+            w = known[d]
+        else:
+            w = nonlinear_witness(squarefree_degree_component(I, d), field)
         per_degree[d] = w is None
         if w is not None:
             return CWLReport(I, field, per_degree, (d, w[0], w[1]))

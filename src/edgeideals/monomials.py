@@ -73,6 +73,23 @@ class Monomial:
         return "Monomial(" + ",".join(self.names(_default_labels(self.mask.bit_length()))) + ")"
 
 
+def _minimal_masks(masks) -> list:
+    """The inclusion-minimal members of ``masks``, each once, by increasing
+    size.  Distinct masks of equal size never contain each other, so each
+    mask is compared only with kept masks of strictly smaller size, and an
+    equal-size family costs no comparisons."""
+    kept = []
+    lower = 0
+    size = -1
+    for m in sorted(set(masks), key=int.bit_count):
+        s = m.bit_count()
+        if s != size:
+            size, lower = s, len(kept)
+        if not any(k & ~m == 0 for k in kept[:lower]):
+            kept.append(m)
+    return kept
+
+
 class MonomialIdeal:
     """Minimally generated square-free monomial ideal.
 
@@ -93,12 +110,8 @@ class MonomialIdeal:
             raise InputError("generators not in canonical order")
         if len({g.mask for g in gens}) != len(gens):
             raise InputError("duplicate generators")
-        # distinct monomials of equal degree never divide each other
-        if gens and gens[0].degree != gens[-1].degree:
-            for i, g in enumerate(gens):
-                for h in gens[i + 1:]:
-                    if h.degree > g.degree and g.divides(h):
-                        raise InputError("generators are not minimal")
+        if len(_minimal_masks(g.mask for g in gens)) != len(gens):
+            raise InputError("generators are not minimal")
         self.ambient = ambient
         self.gens = gens
 
@@ -114,22 +127,10 @@ class MonomialIdeal:
     @classmethod
     def from_generators(cls, ambient: int, gens) -> "MonomialIdeal":
         """Minimalize and sort an arbitrary generating set."""
-        masks = sorted({Monomial(g).mask if not isinstance(g, Monomial) else g.mask for g in gens},
-                       key=int.bit_count)
+        masks = {Monomial(g).mask if not isinstance(g, Monomial) else g.mask for g in gens}
         if any(m >> ambient for m in masks):
             raise InputError("generator outside ambient variables")
-        # distinct monomials of equal degree never divide each other, so each
-        # mask is compared only with kept masks of strictly lower degree
-        kept = []
-        lower = 0
-        degree = -1
-        for m in masks:
-            d = m.bit_count()
-            if d != degree:
-                degree, lower = d, len(kept)
-            if not any(k & ~m == 0 for k in kept[:lower]):
-                kept.append(m)
-        out = [Monomial.from_mask(m) for m in kept]
+        out = [Monomial.from_mask(m) for m in _minimal_masks(masks)]
         out.sort(key=lambda g: g.sort_key)
         return cls._from_canonical(ambient, out)
 

@@ -564,9 +564,8 @@ def test_componentwise_scan_check_scans_every_degree(monkeypatch):
     real_scan, real_witness = is_componentwise_linear, edgeideals.homology.nonlinear_witness
     monkeypatch.setattr(edgeideals.decide, "is_componentwise_linear",
                         lambda I, f: scans.append(f) or real_scan(I, f))
-    for module in (edgeideals.decide, edgeideals.homology):
-        monkeypatch.setattr(module, "nonlinear_witness", lambda M, f, spend=None:
-                            degrees.append(M.min_degree) or real_witness(M, f, spend))
+    monkeypatch.setattr(edgeideals.homology, "nonlinear_witness", lambda M, f, spend=None:
+                        degrees.append(M.min_degree) or real_witness(M, f, spend))
     data = is_sequentially_cm(G, QQ, search_budget=0).to_json(G.labels)
     assert data["evidence"]["kind"] == "componentwise-scan"
     assert scans == [] and degrees == [7, 8, 9]

@@ -127,6 +127,28 @@ def test_projective_plane_characteristic_dependence():
     assert gf3 == rat
 
 
+def test_complex_keeps_the_maximal_facets_of_any_family():
+    # repeated, nested and empty facets reduce to the inclusion-maximal
+    # ones, each once, in one order whatever the order of the input
+    rng = random.Random(17)
+    cases = [(0b111, []), (0b111, [0])]
+    for _ in range(500):
+        n = rng.randint(0, 6)
+        base = [rng.getrandbits(n) for _ in range(rng.randint(1, 5))]
+        family = base + [m & rng.getrandbits(n) for m in base] + rng.choices(base, k=2)
+        rng.shuffle(family)
+        cases.append(((1 << n) - 1, family))
+    for ground, family in cases:
+        K = SimplicialComplex(ground, family)
+        maximal = {m for m in family if not any(m != f and m & ~f == 0 for f in family)}
+        assert set(K.facets) == maximal and len(K.facets) == len(maximal), family
+        assert K.facets == SimplicialComplex(ground, reversed(family)).facets
+    assert SimplicialComplex(0b111, []).is_void
+    assert SimplicialComplex(0b111, [0]).facets == (0,)
+    with pytest.raises(InputError):
+        SimplicialComplex(0b011, [0b001, 0b100])
+
+
 # ---------------------------------------------------------------------------
 # Betti tables
 
