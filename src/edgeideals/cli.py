@@ -86,7 +86,7 @@ def _emit(args, payload: dict, text: str) -> None:
 def _cmd_dual(args) -> int:
     G = _load_graph(args)
     dual = monomials.alexander_dual_of_edge_ideal(G)
-    lines = [f"dual generators ({len(dual.gens)}):"]
+    lines = [f"dual generators ({len(dual)}):"]
     lines += [f"  {_mono_text(g.support, G.labels)}" for g in dual.gens]
     _emit(args, dual.to_json(G.labels), "\n".join(lines) + "\n")
     return 0

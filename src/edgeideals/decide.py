@@ -19,11 +19,10 @@ from itertools import combinations
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, add_whiskers, delete_vertices, classify_remainder,
                      RemainderClass, _bits, _mask_of)
-from .monomials import Monomial, alexander_dual_of_edge_ideal, squarefree_degree_component
+from .monomials import alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
-from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, betti_at,
-                       is_componentwise_linear, reduced_homology_ranks, upper_koszul_complex,
-                       _componentwise_scan, _koszul_complex)
+from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
+                       reduced_homology_ranks, _componentwise_scan, _koszul_complex)
 
 __all__ = [
     "Verdict",
@@ -304,13 +303,11 @@ def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> 
         raise InputError("witness lift does not match S")
     H = delete_vertices(G, sset)
     comp_h = squarefree_degree_component(alexander_dual_of_edge_ideal(H), w.base_degree)
-    b_local = Monomial(pos[v] for v in w.multidegree)
-    k_b = upper_koszul_complex(comp_h, b_local)
+    k_b = _koszul_complex(comp_h.masks, _mask_of(pos[v] for v in w.multidegree))
 
     GW, _ = add_whiskers(G, sset)
     comp_w = squarefree_degree_component(alexander_dual_of_edge_ideal(GW), w.lifted_degree)
-    c_mon = Monomial(w.lifted)
-    k_c = upper_koszul_complex(comp_w, c_mon)
+    k_c = _koszul_complex(comp_w.masks, _mask_of(w.lifted))
 
     mapped = set()
     for m in k_c.face_masks():
@@ -322,8 +319,8 @@ def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> 
         mapped.add(f)
     if mapped != k_b.face_masks():
         return False
-    rank_b = betti_at(comp_h, b_local, w.index, field)
-    rank_c = betti_at(comp_w, c_mon, w.index, field)
+    rank_b = reduced_homology_ranks(k_b, field).get(w.index - 1, 0)
+    rank_c = reduced_homology_ranks(k_c, field).get(w.index - 1, 0)
     return rank_b == rank_c and rank_b > 0
 
 
@@ -356,7 +353,7 @@ def _check_certificate(G: Graph, dual, data, d=None):
     q = QuotientOrder.from_json(data)
     if d is None:
         d = q.degree
-    ref = (dual if d is None else squarefree_degree_component(dual, d)).gen_masks()
+    ref = (dual if d is None else squarefree_degree_component(dual, d)).masks
     # from_json refused repeated generators, so equal sets of equal size match
     if len(q.gens) != len(ref) or set(q.gens) != set(ref):
         return False, "certificate generators do not match the graph's dual component"
@@ -366,14 +363,14 @@ def _check_certificate(G: Graph, dual, data, d=None):
 
 def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     """Why a betti-witness payload fails to re-check, or None when its
-    Betti number, recomputed with ``betti_at`` over ``field``, is nonzero
-    off the linear strand.  ``key`` is the degree it is filed under, if any.
-    A degree outside dmin..D is refused unbuilt: the components below dmin
-    are zero and those above D have linear quotients (the lemma of
-    ``has_dual_linear_quotients``), so neither has a nonlinear Betti
-    number.  Raises SearchBudgetExceeded, before the complex is built, when
-    the upper Koszul complex at the witness may have more than
-    ``DEFAULT_SEARCH_BUDGET`` faces.
+    Betti number, recomputed over ``field`` from the upper Koszul complex
+    at the multidegree, is nonzero off the linear strand.  ``key`` is the
+    degree it is filed under, if any.  A degree outside dmin..D is refused
+    unbuilt: the components below dmin are zero and those above D have
+    linear quotients (the lemma of ``has_dual_linear_quotients``), so
+    neither has a nonlinear Betti number.  Raises SearchBudgetExceeded,
+    before the complex is built, when the upper Koszul complex at the
+    witness may have more than ``DEFAULT_SEARCH_BUDGET`` faces.
     """
     d = _int(ev.get("degree"), "witness degree")
     i = _int(ev.get("index"), "witness index")
@@ -397,10 +394,10 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     # only up to the bound, with no component built
     limit = DEFAULT_SEARCH_BUDGET >> max(len(b) - d, 0)
     inside = set()
-    for g in dual.gens:
-        if g.mask & ~x_b == 0 and g.degree <= d:
-            for extra in combinations(_bits(x_b & ~g.mask), d - g.degree):
-                inside.add(g.mask | _mask_of(extra))
+    for g in dual.masks:
+        if g & ~x_b == 0 and g.bit_count() <= d:
+            for extra in combinations(_bits(x_b & ~g), d - g.bit_count()):
+                inside.add(g | _mask_of(extra))
                 if len(inside) > limit:
                     raise SearchBudgetExceeded(
                         f"witness complex may have over {DEFAULT_SEARCH_BUDGET} faces: more "

@@ -48,10 +48,6 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _key(mask: int) -> tuple:
-    return tuple(_bits(mask))
-
-
 @functools.cache
 def _default_labels(n: int) -> tuple:
     """The display labels x1..xn of vertices (or variables) 0..n-1."""

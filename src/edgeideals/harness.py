@@ -17,7 +17,7 @@ from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
                      cycle_graph, delete_vertices, format_graph, is_chordal,
                      path_graph, _bits, _canonical, _default_labels, _delete_adj, _drop,
-                     _induces_one_cycle, _whiskered_adj)
+                     _induces_one_cycle, _mask_of, _whiskered_adj)
 from .monomials import MonomialIdeal, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, make_order,
                         verify_order, search_stats)
@@ -623,9 +623,9 @@ def _totals_as_json(totals) -> dict:
 
 
 def _paper_order(ideal: MonomialIdeal, sequence):
-    pos = {g.support: i for i, g in enumerate(ideal.gens)}
+    pos = {m: i for i, m in enumerate(ideal.masks)}
     try:
-        return make_order(ideal, [pos[s] for s in sequence])
+        return make_order(ideal, [pos[_mask_of(s)] for s in sequence])
     except KeyError:
         return None
 
@@ -637,7 +637,7 @@ def run_fixture(fixture_id: str) -> FixtureResult:
         GW, _ = add_whiskers(G, S)
         dual = alexander_dual_of_edge_ideal(GW)
         observed = {
-            "dual": _gens_as_lists(g.support for g in dual.gens),
+            "dual": _gens_as_lists(_bits(m) for m in dual.masks),
             "betti_gf2": _totals_as_json(betti_numbers(dual, GF2).totals),
             "betti_q": _totals_as_json(betti_numbers(dual, QQ).totals),
         }
@@ -664,7 +664,7 @@ def run_fixture(fixture_id: str) -> FixtureResult:
         dual = alexander_dual_of_edge_ideal(GW)
         comp3 = squarefree_degree_component(dual, 3)
         observed = {
-            "dual": _gens_as_lists(g.support for g in dual.gens),
+            "dual": _gens_as_lists(_bits(m) for m in dual.masks),
             "component3_betti": _totals_as_json(betti_numbers(comp3, GF2).totals),
             "scm": is_sequentially_cm(GW).value,
         }

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InputError
-from .graphs import _bits, _default_labels, _key
-from .monomials import Monomial, MonomialIdeal, _minimal_masks, squarefree_degree_component
+from .graphs import _bits, _default_labels
+from .monomials import (Monomial, MonomialIdeal, _minimal_masks, _order_key,
+                        squarefree_degree_component)
 
 __all__ = [
     "FieldSpec",
@@ -163,7 +164,7 @@ def upper_koszul_complex(M: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     full = (1 << M.ambient) - 1
     if b.mask & ~full:
         raise InputError("multidegree outside the ambient variables")
-    return _koszul_complex(M.gen_masks(), b.mask)
+    return _koszul_complex(M.masks, b.mask)
 
 
 def _koszul_complex(gens, b: int) -> SimplicialComplex:
@@ -360,7 +361,7 @@ def _lcm_lattice(gens, spend=None) -> list:
         lattice.add(g)
         if spend is not None:
             spend(len(lattice) - size)
-    return sorted(lattice, key=lambda m: (m.bit_count(), _key(m)))
+    return sorted(lattice, key=_order_key)
 
 
 def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
@@ -371,7 +372,7 @@ def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     """
     entries = {}
     totals = {}
-    gens = M.gen_masks()
+    gens = M.masks
     for b in _lcm_lattice(gens):
         ranks = reduced_homology_ranks(_koszul_complex(gens, b), field)
         size = b.bit_count()
@@ -405,7 +406,7 @@ def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2, spend=None):
     if not M.is_equigenerated:
         raise InputError("linear-resolution test needs an equigenerated ideal")
     d = M.min_degree
-    gens = M.gen_masks()
+    gens = M.masks
     for b in _lcm_lattice(gens, spend):
         ranks = reduced_homology_ranks(_koszul_complex(gens, b), field)
         size = b.bit_count()

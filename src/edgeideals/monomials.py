@@ -2,7 +2,11 @@
 
 A monomial is just a set of variable indices (stored as a bitmask); the
 ambient variable count lives on the ideal so generators re-embed cleanly
-when the ambient grows (whiskering appends variables).
+when the ambient grows (whiskering appends variables).  A ``MonomialIdeal``
+holds ``ambient`` and ``masks``, its generator masks in canonical order
+(``_order_key``); ``gens`` builds ``Monomial`` objects from them on each
+access, for the public API, ``to_json`` and ``repr``.  The library reads
+``masks``.
 """
 
 from __future__ import annotations
@@ -51,13 +55,6 @@ class Monomial:
     def degree(self) -> int:
         return self.mask.bit_count()
 
-    def divides(self, other: "Monomial") -> bool:
-        return self.mask & ~other.mask == 0
-
-    @property
-    def sort_key(self) -> tuple:
-        return (self.degree, tuple(_bits(self.mask)))
-
     def names(self, labels) -> list:
         return [labels[v] for v in _bits(self.mask)]
 
@@ -71,6 +68,12 @@ class Monomial:
         if self.mask == 0:
             return "Monomial(1)"
         return "Monomial(" + ",".join(self.names(_default_labels(self.mask.bit_length()))) + ")"
+
+
+def _order_key(mask: int) -> tuple:
+    """The canonical order of square-free monomials: by degree, then
+    lexicographically on sorted supports."""
+    return (mask.bit_count(), tuple(_bits(mask)))
 
 
 def _minimal_masks(masks) -> list:
@@ -93,76 +96,82 @@ def _minimal_masks(masks) -> list:
 class MonomialIdeal:
     """Minimally generated square-free monomial ideal.
 
-    Generators are stored in canonical order (degree, then lexicographic on
-    sorted supports).  The zero ideal has no generators; the unit ideal has
-    the single generator 1.
+    ``masks`` holds the generator masks in canonical order (degree, then
+    lexicographic on sorted supports); ``gens`` builds them as
+    ``Monomial``s on each access.  The zero ideal has no generators; the
+    unit ideal has the single generator 1.
     """
 
-    __slots__ = ("ambient", "gens")
+    __slots__ = ("ambient", "masks")
 
     def __init__(self, ambient: int, gens):
-        gens = tuple(gens)
+        masks = tuple(g.mask for g in gens)
         full = (1 << ambient) - 1
-        for g in gens:
-            if g.mask & ~full:
-                raise InputError("generator outside ambient variables")
-        if list(gens) != sorted(gens, key=lambda g: g.sort_key):
+        if any(m & ~full for m in masks):
+            raise InputError("generator outside ambient variables")
+        if list(masks) != sorted(masks, key=_order_key):
             raise InputError("generators not in canonical order")
-        if len({g.mask for g in gens}) != len(gens):
+        if len(set(masks)) != len(masks):
             raise InputError("duplicate generators")
-        if len(_minimal_masks(g.mask for g in gens)) != len(gens):
+        if len(_minimal_masks(masks)) != len(masks):
             raise InputError("generators are not minimal")
         self.ambient = ambient
-        self.gens = gens
+        self.masks = masks
 
     @classmethod
-    def _from_canonical(cls, ambient: int, gens) -> "MonomialIdeal":
-        """Wrap generators already known to be in ambient, canonically
+    def _from_canonical(cls, ambient: int, masks) -> "MonomialIdeal":
+        """Wrap generator masks already known to be in ambient, canonically
         ordered, distinct and minimal, skipping the checks of __init__."""
         ideal = object.__new__(cls)
         ideal.ambient = ambient
-        ideal.gens = tuple(gens)
+        ideal.masks = tuple(masks)
         return ideal
+
+    @classmethod
+    def _from_masks(cls, ambient: int, masks) -> "MonomialIdeal":
+        """Minimalize and sort arbitrary generator masks."""
+        masks = set(masks)
+        if any(m >> ambient for m in masks):
+            raise InputError("generator outside ambient variables")
+        return cls._from_canonical(ambient, sorted(_minimal_masks(masks), key=_order_key))
 
     @classmethod
     def from_generators(cls, ambient: int, gens) -> "MonomialIdeal":
         """Minimalize and sort an arbitrary generating set."""
-        masks = {Monomial(g).mask if not isinstance(g, Monomial) else g.mask for g in gens}
-        if any(m >> ambient for m in masks):
-            raise InputError("generator outside ambient variables")
-        out = [Monomial.from_mask(m) for m in _minimal_masks(masks)]
-        out.sort(key=lambda g: g.sort_key)
-        return cls._from_canonical(ambient, out)
+        return cls._from_masks(ambient, (g.mask if isinstance(g, Monomial) else Monomial(g).mask
+                                         for g in gens))
+
+    @property
+    def gens(self) -> tuple:
+        """The generators as ``Monomial``s, built on each access."""
+        return tuple(map(Monomial.from_mask, self.masks))
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.masks
 
     @property
     def min_degree(self):
-        return min((g.degree for g in self.gens), default=None)
+        return self.masks[0].bit_count() if self.masks else None
 
     @property
     def max_degree(self):
-        return max((g.degree for g in self.gens), default=None)
+        return self.masks[-1].bit_count() if self.masks else None
 
     @property
     def is_equigenerated(self) -> bool:
         return self.min_degree == self.max_degree
 
-    def gen_masks(self) -> list:
-        return [g.mask for g in self.gens]
-
     def __eq__(self, other):
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.ambient == other.ambient and self.gens == other.gens
+        return self.ambient == other.ambient and self.masks == other.masks
 
     def __hash__(self):
-        return hash((self.ambient, self.gens))
+        return hash((self.ambient, self.masks))
 
     def __len__(self):
-        return len(self.gens)
+        return len(self.masks)
 
     def __repr__(self):
         return f"MonomialIdeal(ambient={self.ambient}, gens={list(self.gens)})"
@@ -198,8 +207,7 @@ class MonomialIdeal:
 
 def edge_ideal(G: Graph) -> MonomialIdeal:
     """One degree-two generator x_u x_v per edge of G."""
-    gens = [Monomial((u, v)) for u, v in G.edges()]
-    return MonomialIdeal.from_generators(G.n, gens)
+    return MonomialIdeal._from_masks(G.n, (1 << u | 1 << v for u, v in G.edges()))
 
 
 def alexander_dual_of_edge_ideal(G: Graph) -> MonomialIdeal:
@@ -209,8 +217,7 @@ def alexander_dual_of_edge_ideal(G: Graph) -> MonomialIdeal:
     dual is the unit ideal.  The cover masks come out minimal, distinct and
     canonically ordered, so they are wrapped as they are.
     """
-    masks = _minimal_cover_masks(G.adj, (1 << G.n) - 1)
-    return MonomialIdeal._from_canonical(G.n, [Monomial.from_mask(m) for m in masks])
+    return MonomialIdeal._from_canonical(G.n, _minimal_cover_masks(G.adj, (1 << G.n) - 1))
 
 
 def squarefree_degree_component(I: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -219,12 +226,11 @@ def squarefree_degree_component(I: MonomialIdeal, d: int) -> MonomialIdeal:
         raise InputError("degree must be nonnegative")
     masks = set()
     full = (1 << I.ambient) - 1
-    for g in I.gens:
-        k = d - g.degree
+    for g in I.masks:
+        k = d - g.bit_count()
         if k < 0:
             continue
-        others = list(_bits(full & ~g.mask))
+        others = list(_bits(full & ~g))
         for extra in combinations(others, k):
-            masks.add(g.mask | _mask_of(extra))
-    gens = sorted((Monomial.from_mask(m) for m in masks), key=lambda g: g.sort_key)
-    return MonomialIdeal._from_canonical(I.ambient, gens)
+            masks.add(g | _mask_of(extra))
+    return MonomialIdeal._from_canonical(I.ambient, sorted(masks, key=_order_key))

@@ -5,9 +5,9 @@ step: the variables generating the colon ideal of the prefix by that
 generator.  Certificates are checkable in O(r*n) big-int operations (one
 pass over the sequence with a bitset of generator positions per variable),
 so every order found here -- whether by exact search or by the constructive
-whisker recursion -- is verified before it is trusted.  ``Monomial`` and
-``MonomialIdeal`` objects appear only in the derived views and at the JSON
-boundary.
+whisker recursion -- is verified before it is trusted.  Ideals come in and
+go out as ``MonomialIdeal``s, which hold their generator masks as well, so
+this module builds no ``Monomial``.
 
 A dual component is ordered by the first of these that succeeds: its
 canonical order (identity), the whisker decomposition at a pendant or
@@ -24,7 +24,7 @@ from math import comb
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import Graph, _bits, _covers_by_size, _default_labels, _mask_of
 from .homology import GF2, BettiTable, BettiWitness, nonlinear_witness
-from .monomials import Monomial, MonomialIdeal, alexander_dual_of_edge_ideal
+from .monomials import MonomialIdeal, _minimal_masks, alexander_dual_of_edge_ideal
 
 __all__ = [
     "QuotientOrder",
@@ -134,14 +134,11 @@ class QuotientOrder:
     @property
     def ideal(self) -> MonomialIdeal:
         """The ideal the sequence generates, in canonical order."""
-        return MonomialIdeal.from_generators(self.ambient, self.ordered_gens())
+        return MonomialIdeal._from_masks(self.ambient, self.gens)
 
     @property
     def colon_vars(self) -> tuple:
         return tuple(frozenset(_bits(m)) for m in self.colon)
-
-    def ordered_gens(self):
-        return [Monomial.from_mask(m) for m in self.gens]
 
     @property
     def degree(self):
@@ -185,7 +182,8 @@ class QuotientOrder:
             raise InputError(f"bad certificate JSON: {exc}") from None
         q = cls(ambient, gens, colon)
         # distinct square-free monomials of one degree never divide each other
-        if len(set(gens)) != len(gens) or (q.degree is None and len(q.ideal.gens) != len(gens)):
+        if len(set(gens)) != len(gens) or (q.degree is None
+                                           and len(_minimal_masks(gens)) != len(gens)):
             raise InputError("certificate generators are not minimal or not distinct")
         if len(colon) != len(gens):
             raise InputError("colon variable list length mismatch")
@@ -195,9 +193,9 @@ class QuotientOrder:
 def make_order(ideal: MonomialIdeal, order) -> QuotientOrder:
     """Package an order with its computed colon variables (not validated)."""
     order = tuple(order)
-    if sorted(order) != list(range(len(ideal.gens))):
+    if sorted(order) != list(range(len(ideal.masks))):
         raise InputError("order is not a permutation of the generators")
-    return _order_from_masks(ideal.ambient, [ideal.gens[i].mask for i in order])
+    return _order_from_masks(ideal.ambient, [ideal.masks[i] for i in order])
 
 
 def verify_order(q: QuotientOrder) -> bool:
@@ -328,9 +326,9 @@ def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
     Deterministic: the canonical generator order is tried first, then the
     search explores candidates lexicographically.  I must be equigenerated.
     """
-    if len(I.gens) > 1 and not I.is_equigenerated:
+    masks = I.masks
+    if len(masks) > 1 and not I.is_equigenerated:
         raise InputError("find_order expects an equigenerated ideal")
-    masks = I.gen_masks()
     if len(masks) > 1:
         colon, failed = _colon_walk(masks, stop_at_failure=True)
         if not failed:
@@ -436,7 +434,7 @@ class _OrderSearch:
         """Keep a GF(2) Betti witness of the component under (active, d);
         False when it has a linear resolution.  The lcm lattice the scan
         builds is charged to the search budget."""
-        ideal = MonomialIdeal._from_canonical(len(self.adj), [Monomial.from_mask(m) for m in gens])
+        ideal = MonomialIdeal._from_canonical(len(self.adj), gens)
         w = nonlinear_witness(ideal, GF2, self.spend)
         if w is None:
             return False
@@ -590,7 +588,7 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
     ctx = _OrderSearch(G.adj, dual.max_degree, budget)
     full = (1 << G.n) - 1
     if dual.is_equigenerated:
-        ctx._covers[full] = {dual.max_degree: dual.gen_masks()}
+        ctx._covers[full] = {dual.max_degree: dual.masks}
     per_degree = {}
     unknown = []
     skipped = []

@@ -315,7 +315,7 @@ def koszul_faces_by_scan(gen_supports, b):
 def hilbert_numerator_from_gens(M):
     """K-polynomial of R/M by inclusion-exclusion over generator lcms."""
     out = {}
-    gens = M.gen_masks()
+    gens = M.masks
     for sub in range(1 << len(gens)):
         m = 0
         bits = 0
