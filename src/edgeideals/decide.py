@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import (Graph, add_whiskers, delete_vertices, classify_remainder,
-                     RemainderClass, _bits, _mask_of)
+from .graphs import (Graph, add_whiskers, delete_vertices, RemainderClass, _bits,
+                     _classify_remainder, _edgeless, _mask_of)
 from .monomials import alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
@@ -137,30 +137,72 @@ def is_sequentially_cm(G: Graph, field: FieldSpec = GF2, *,
     scan runs homology only on the degrees the search left without an
     order (``_scan_open_degrees``).
     """
-    if G.edge_count() == 0:
-        return Verdict("SCM", True, field, ZeroIdealConvention(), field_independent=True,
-                       dual=alexander_dual_of_edge_ideal(G))
-    report = has_dual_linear_quotients(G, budget=search_budget, stop_at_failure=True)
-    if report.verdict is True:
-        return Verdict("SCM", True, field, QuotientCertificates(report.certificates()),
-                       field_independent=True, dual=report.dual)
+    return _decide(G, (field,), search_budget=search_budget)[0]
+
+
+def _decide(G: Graph, fields: tuple, S=None, *, cm=False,
+            search_budget=DEFAULT_SEARCH_BUDGET) -> tuple:
+    """One result per field of ``fields``: with no ``S`` the verdict of
+    ``is_sequentially_cm`` (of ``is_cm`` with ``cm``) on G, and with ``S``
+    the witness of ``necessary_scm`` for G minus S.
+
+    The field-independent work runs once: the edge test, for a remainder
+    the theorem test, and the dual linear-quotients search.  Per field only
+    ``_scan_open_degrees`` runs, and that field's result is built.
+    """
+    H = G
+    if S is not None:
+        smask = G._check_vertices(S)
+        rest = ((1 << G.n) - 1) & ~smask
+        if _edgeless(G.adj, rest) or _classify_remainder(G.adj, rest) is not RemainderClass.OTHER:
+            return (None,) * len(fields)
+        H = delete_vertices(G, list(_bits(smask)))
+    if _edgeless(H.adj, (1 << H.n) - 1):
+        dual = alexander_dual_of_edge_ideal(H)
+        scm = [Verdict("SCM", True, f, ZeroIdealConvention(), field_independent=True, dual=dual)
+               for f in fields]
+    else:
+        report = has_dual_linear_quotients(H, budget=search_budget, stop_at_failure=True)
+        if report.verdict is True:
+            evidence = QuotientCertificates(report.certificates())
+            scm = [Verdict("SCM", True, f, evidence, field_independent=True, dual=report.dual)
+                   for f in fields]
+        else:
+            scm = [_scan_verdict(report, f) for f in fields]
+    if S is not None:
+        keep, lift = list(_bits(rest)), frozenset(_bits(smask))
+
+        def lifted(w):
+            b = frozenset(keep[u] for u in w.multidegree)
+            return SyzygyWitness(w.degree, w.index, b, b | lift)
+        return tuple(None if v.value else lifted(v.evidence) for v in scm)
+    if cm:
+        return tuple(Verdict("CM", v.value and v.dual.is_equigenerated, v.field, v.evidence,
+                             v.field_independent, v.dual.is_equigenerated, v.notes, v.dual)
+                     for v in scm)
+    return tuple(scm)
+
+
+def _scan_verdict(report, field: FieldSpec) -> Verdict:
+    """The verdict over ``field`` on the graph of the dlq report ``report``,
+    which certified no order in some degree: ``_scan_open_degrees`` decides."""
     notes = ()
     if report.verdict is None:
         notes = ("dual linear quotients undecided within the search budget",)
     cwl = _scan_open_degrees(report, field)
-    if cwl.verdict:
-        if report.verdict is False:
-            d = report.failing_degree
-            why = (f"degree {d} has a nonlinear Betti number over GF(2), so the verdict "
-                   f"depends on the field" if d in report.witnesses else
-                   f"degree {d} has a linear resolution but no linear-quotients order")
-            notes = notes + (f"componentwise linear without dual linear quotients: {why}",)
-            log.info("%d-vertex graph: componentwise linear over field %s without dual "
-                     "linear quotients; %s", G.n, field, why)
-        return Verdict("SCM", True, field, ComponentwiseScan(dict(cwl.per_degree)),
-                       notes=notes, dual=report.dual)
-    d, i, b = cwl.witness
-    return Verdict("SCM", False, field, BettiWitness(d, i, b), notes=notes, dual=report.dual)
+    if not cwl.verdict:
+        d, i, b = cwl.witness
+        return Verdict("SCM", False, field, BettiWitness(d, i, b), notes=notes, dual=report.dual)
+    if report.verdict is False:
+        d = report.failing_degree
+        why = (f"degree {d} has a nonlinear Betti number over GF(2), so the verdict "
+               f"depends on the field" if d in report.witnesses else
+               f"degree {d} has a linear resolution but no linear-quotients order")
+        notes = notes + (f"componentwise linear without dual linear quotients: {why}",)
+        log.info("%d-vertex graph: componentwise linear over field %s without dual "
+                 "linear quotients; %s", report.graph.n, field, why)
+    return Verdict("SCM", True, field, ComponentwiseScan(dict(cwl.per_degree)),
+                   notes=notes, dual=report.dual)
 
 
 def _scan_open_degrees(report, field: FieldSpec) -> CWLReport:
@@ -190,10 +232,7 @@ def is_cm(G: Graph, field: FieldSpec = GF2, *,
           search_budget=DEFAULT_SEARCH_BUDGET) -> Verdict:
     """Cohen-Macaulay = sequentially Cohen-Macaulay and unmixed: the dual's
     generators, G's minimal covers, share one size (dmin == D)."""
-    scm = is_sequentially_cm(G, field, search_budget=search_budget)
-    unmixed = scm.dual.is_equigenerated
-    return Verdict("CM", scm.value and unmixed, scm.field, scm.evidence, scm.field_independent,
-                   unmixed, scm.notes, scm.dual)
+    return _decide(G, (field,), cm=True, search_budget=search_budget)[0]
 
 
 def sufficient_scm(G: Graph, S) -> TheoremHit | None:
@@ -204,18 +243,18 @@ def sufficient_scm(G: Graph, S) -> TheoremHit | None:
     that whiskering fails.
     """
     smask = G._check_vertices(S)
-    sset = set(_bits(smask))
-    if all(u in sset or v in sset for u, v in G.edges()):
+    rest = ((1 << G.n) - 1) & ~smask
+    if _edgeless(G.adj, rest):
         return TheoremHit("vertex-cover", "C3.4",
                           "S covers every edge, so the remainder is edgeless")
-    remainder = classify_remainder(G, S)
+    remainder = _classify_remainder(G.adj, rest)
     if remainder is RemainderClass.CHORDAL:
         return TheoremHit("chordal-remainder", "T3.2",
                           "deleting S leaves a chordal graph")
     if remainder is RemainderClass.FIVE_CYCLE:
         return TheoremHit("five-cycle-remainder", "T3.3",
                           "deleting S leaves a five-cycle (ignoring isolated vertices)")
-    if len(sset) >= G.n - 3:
+    if smask.bit_count() >= G.n - 3:
         return TheoremHit("size-bound", "C3.5",
                           "S misses at most three vertices")
     return None
@@ -258,31 +297,33 @@ def necessary_scm(G: Graph, S, field: FieldSpec = GF2) -> SyzygyWitness | None:
     increasing multidegree size; None when G minus S is sequentially
     Cohen-Macaulay as far as the scan can tell (all components linear).
 
-    Two exact tests settle most remainders before the scan.  With no edge
-    left the dual is the unit ideal, which has no witness.  Otherwise, if
-    the remainder's dual has linear quotients in every degree dmin..D, each
-    component has a linear resolution over every field (the lemma of
-    ``quotients._OrderSearch._order_uncached``, after Herzog-Takayama), and
-    those above D inherit one (the lemma of ``has_dual_linear_quotients``),
-    so no witness exists in any field.  Only a failed or undecided search
-    runs the scan, on the dual the search already built, and only on the
-    degrees it left without an order (``_scan_open_degrees``).
+    Three exact tests settle most remainders before the scan.  With no edge
+    left the dual is the unit ideal, which has no witness.
+
+    Lemma: a remainder that is chordal, or that is a five-cycle once its
+    isolated vertices are ignored, is sequentially Cohen-Macaulay over every
+    field, so its dual is componentwise linear (Herzog-Hibi) and has no
+    witness.  A chordal graph is vertex decomposable (Woodroofe, Proc. AMS
+    2009), and a vertex decomposable graph is shellable and hence SCM over
+    every field (Francisco-Van Tuyl, Proc. AMS 2007, who also prove chordal
+    graphs SCM).  The five-cycle is Cohen-Macaulay over every field: its
+    independence complex is a pentagon, a connected graph, which is a
+    Cohen-Macaulay complex.  An isolated vertex x changes nothing: the edge
+    ideal of H + x is that of H extended to R[x], and R[x]/I R[x] =
+    (R/I)[x] is (sequentially) Cohen-Macaulay iff R/I is.  This test runs
+    on the adjacency masks (``graphs._classify_remainder``) and builds no
+    graph, dual or search.
+
+    Otherwise, if the remainder's dual has linear quotients in every degree
+    dmin..D, each component has a linear resolution over every field (the
+    lemma of ``quotients._OrderSearch._order_uncached``, after
+    Herzog-Takayama), and those above D inherit one (the lemma of
+    ``has_dual_linear_quotients``), so no witness exists in any field.
+    Only a failed or undecided search runs the scan, on the dual the search
+    already built, and only on the degrees it left without an order
+    (``_scan_open_degrees``).
     """
-    smask = G._check_vertices(S)
-    rest = ((1 << G.n) - 1) & ~smask
-    if not any(G.adj[v] & rest for v in _bits(rest)):
-        return None
-    H = delete_vertices(G, list(_bits(smask)))
-    report = has_dual_linear_quotients(H, budget=DEFAULT_SEARCH_BUDGET, stop_at_failure=True)
-    if report.verdict is True:
-        return None
-    w = _scan_open_degrees(report, field).witness
-    if w is None:
-        return None
-    d, i, b_local = w
-    keep = list(_bits(rest))
-    b = frozenset(keep[v] for v in b_local)
-    return SyzygyWitness(d, i, b, b | frozenset(_bits(smask)))
+    return _decide(G, (field,), S, search_budget=DEFAULT_SEARCH_BUDGET)[0]
 
 
 def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> bool:

@@ -262,31 +262,33 @@ def add_whiskers(G: Graph, S, tip_labels=None):
 # chordality
 
 
-def _mcs_order(G: Graph) -> list:
-    """Maximum-cardinality search visit order (ties to the smallest index)."""
-    n = G.n
-    weight = [0] * n
-    unnumbered = set(range(n))
+def _edgeless(adj, verts: int) -> bool:
+    """Does ``verts`` induce no edge?"""
+    return not any(adj[v] & verts for v in _bits(verts))
+
+
+def _elimination_order(adj, verts: int) -> list | None:
+    """A perfect elimination ordering of the subgraph induced on ``verts``,
+    or None when that subgraph is not chordal.
+
+    It eliminates simplicial vertices, whose remaining neighbours are
+    pairwise adjacent, the lowest first, until none is left.  Exact: the
+    order eliminated in is a perfect elimination ordering, so a subgraph
+    that runs dry is chordal (Fulkerson-Gross, Pacific J. Math. 1965); and
+    every chordal graph has a simplicial vertex and stays chordal after
+    losing it (Dirac, 1961), so a chordal one never gets stuck.
+    """
     order = []
-    for _ in range(n):
-        z = max(unnumbered, key=lambda v: (weight[v], -v))
-        unnumbered.discard(z)
-        order.append(z)
-        for y in _bits(G.adj[z]):
-            if y in unnumbered:
-                weight[y] += 1
+    while verts:
+        for v in _bits(verts):
+            nb = adj[v] & verts
+            if all(nb & ~adj[u] == 1 << u for u in _bits(nb)):
+                break
+        else:
+            return None
+        order.append(v)
+        verts ^= 1 << v
     return order
-
-
-def _peo_violation(G: Graph, peo) -> tuple | None:
-    """First (v, a, b) with a, b later neighbors of v and ab not an edge."""
-    rank = {v: i for i, v in enumerate(peo)}
-    for i, v in enumerate(peo):
-        later = [w for w in _bits(G.adj[v]) if rank[w] > i]
-        for a, b in combinations(sorted(later), 2):
-            if not G.has_edge(a, b):
-                return v, a, b
-    return None
 
 
 def _chordless_cycle(G: Graph) -> tuple | None:
@@ -326,8 +328,8 @@ def _chordless_cycle(G: Graph) -> tuple | None:
 
 def is_chordal(G: Graph) -> ChordalityResult:
     """Decide chordality with a self-checking certificate either way."""
-    peo = list(reversed(_mcs_order(G)))
-    if _peo_violation(G, peo) is None:
+    peo = _elimination_order(G.adj, (1 << G.n) - 1)
+    if peo is not None:
         return ChordalityResult(True, elimination_order=tuple(peo))
     cycle = _chordless_cycle(G)
     if cycle is None:
@@ -341,12 +343,16 @@ def classify_remainder(G: Graph, S) -> RemainderClass:
     Isolated vertices of the remainder are ignored for the five-cycle test;
     they carry no edges and hence no edge-ideal generators.
     """
-    H = delete_vertices(G, S)
-    support = _mask_of(v for v in range(H.n) if H.adj[v])
-    if support.bit_count() == 5 and _induces_one_cycle(H.adj, support):
-        return RemainderClass.FIVE_CYCLE
-    if is_chordal(H).chordal:
+    return _classify_remainder(G.adj, ((1 << G.n) - 1) & ~G._check_vertices(S))
+
+
+def _classify_remainder(adj, rest: int) -> RemainderClass:
+    """``classify_remainder`` of the subgraph induced on the mask ``rest``."""
+    if _elimination_order(adj, rest) is not None:
         return RemainderClass.CHORDAL
+    support = _mask_of(v for v in _bits(rest) if adj[v] & rest)
+    if support.bit_count() == 5 and _induces_one_cycle(adj, support):
+        return RemainderClass.FIVE_CYCLE
     return RemainderClass.OTHER
 
 

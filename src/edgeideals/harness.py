@@ -23,7 +23,7 @@ from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, ma
                         verify_order, search_stats)
 from .homology import GF2, GF3, QQ, betti_numbers
 from .decide import (DEFAULT_SEARCH_BUDGET, check_koszul_lift, is_cm, is_sequentially_cm,
-                     necessary_scm, sufficient_scm)
+                     necessary_scm, sufficient_scm, _decide)
 
 __all__ = [
     "Campaign",
@@ -253,8 +253,7 @@ def _hyp_bad_cycle(G, S):
 
 def _concl_scm_true(G, S, fields):
     GW, _ = add_whiskers(G, S)
-    for f in fields:
-        v = is_sequentially_cm(GW, f)
+    for f, v in zip(fields, _decide(GW, fields)):
         if not v.value:
             return False, f"whiskered graph is not SCM over field {f}"
     return True, "SCM certified"
@@ -262,8 +261,7 @@ def _concl_scm_true(G, S, fields):
 
 def _concl_scm_false(G, S, fields):
     GW, _ = add_whiskers(G, S)
-    for f in fields:
-        v = is_sequentially_cm(GW, f)
+    for f, v in zip(fields, _decide(GW, fields)):
         if v.value:
             return False, f"whiskered graph unexpectedly SCM over field {f}"
     return True, "non-SCM confirmed"
@@ -271,8 +269,7 @@ def _concl_scm_false(G, S, fields):
 
 def _concl_cm_true(G, S, fields):
     GW, _ = add_whiskers(G, S)
-    for f in fields:
-        v = is_cm(GW, f)
+    for f, v in zip(fields, _decide(GW, fields, cm=True)):
         if not v.value:
             return False, f"whiskered graph is not CM over field {f}"
     return True, "CM certified"
@@ -292,8 +289,7 @@ def _concl_near_all(G, S, fields):
 
 
 def _concl_lift(G, S, fields):
-    for f in fields:
-        w = necessary_scm(G, S, f)
+    for f, w in zip(fields, _decide(G, fields, S)):
         if w is None:
             return False, f"remainder witness vanished over field {f}"
         if not check_koszul_lift(G, S, w, f):

@@ -9,7 +9,9 @@ canonical forms or memo, and the full-scan form of ``necessary_scm`` calls
 the package's homology scan with no linear-quotients shortcut.  The
 recursive independent-set walk branches as the package's stack walk does
 and is the reference for its masks and their order.  The labelled-graph
-enumeration and the benchmark's field pool are shared test inputs.
+enumeration and the benchmark's field pool are shared test inputs.  The
+chordality oracle is maximum-cardinality search with a perfect-elimination
+check, where the package eliminates simplicial vertices.
 """
 
 import random
@@ -297,6 +299,50 @@ def induces_one_cycle_by_union_find(G, vertices):
         degree[u] += 1
         degree[v] += 1
     return bool(vs) and set(degree.values()) == {2} and component_count(vs, edges) == 1
+
+
+def mcs_order(G):
+    """Maximum-cardinality search visit order (ties to the smallest index)."""
+    n = G.n
+    weight = [0] * n
+    unnumbered = set(range(n))
+    order = []
+    for _ in range(n):
+        z = max(unnumbered, key=lambda v: (weight[v], -v))
+        unnumbered.discard(z)
+        order.append(z)
+        for y in range(n):
+            if G.has_edge(z, y) and y in unnumbered:
+                weight[y] += 1
+    return order
+
+
+def peo_violation(G, peo):
+    """First (v, a, b) with a, b later neighbors of v and ab not an edge."""
+    rank = {v: i for i, v in enumerate(peo)}
+    for i, v in enumerate(peo):
+        later = [w for w in range(G.n) if G.has_edge(v, w) and rank[w] > i]
+        for a, b in combinations(sorted(later), 2):
+            if not G.has_edge(a, b):
+                return v, a, b
+    return None
+
+
+def is_chordal_by_mcs(G):
+    """Chordality by maximum-cardinality search: G is chordal iff the
+    reverse of the visit order is a perfect elimination ordering (Tarjan-
+    Yannakakis, SIAM J. Comput. 1984)."""
+    return peo_violation(G, list(reversed(mcs_order(G)))) is None
+
+
+def classify_by_mcs(H):
+    """``graphs.classify_remainder`` of the whole graph H, with chordality
+    by ``is_chordal_by_mcs`` and the five-cycle test by
+    ``induces_one_cycle_by_union_find`` on the non-isolated vertices."""
+    support = [v for v in range(H.n) if H.degree(v)]
+    if len(support) == 5 and induces_one_cycle_by_union_find(H, support):
+        return "five-cycle"
+    return "chordal" if is_chordal_by_mcs(H) else "other"
 
 
 def koszul_faces_by_scan(gen_supports, b):

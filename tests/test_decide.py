@@ -250,6 +250,65 @@ def test_necessary_builds_nothing_for_an_edgeless_remainder(monkeypatch):
             assert necessary_scm(G, S, f) is None
 
 
+def test_necessary_builds_nothing_for_a_chordal_or_five_cycle_remainder(monkeypatch):
+    import edgeideals.decide
+    import edgeideals.quotients
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a graph, dual or search for a theorem-settled remainder")
+    for module, name in ((edgeideals.decide, "alexander_dual_of_edge_ideal"),
+                         (edgeideals.quotients, "alexander_dual_of_edge_ideal"),
+                         (edgeideals.decide, "has_dual_linear_quotients"),
+                         (edgeideals.decide, "delete_vertices")):
+        monkeypatch.setattr(module, name, refuse)
+    c5_tail = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)])
+    k4_tail = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
+    settled = (
+        (path_graph(4), ()),
+        (k4_tail, ()),
+        (cycle_graph(4), {0}),
+        (Graph(6, [(0, 1), (1, 2), (2, 0), (3, 4)]), ()),
+        (cycle_graph(5), ()),
+        (c5_tail, {5}),  # a five-cycle and an isolated vertex
+    )
+    for G, S in settled:
+        for f in (GF2, GF3, QQ):
+            assert necessary_scm(G, S, f) is None, (G, S, f)
+    # a five-cycle with a pendant edge is neither, so it is searched
+    with pytest.raises(AssertionError, match="theorem-settled"):
+        necessary_scm(c5_tail, {6})
+    monkeypatch.undo()
+    for G, S in settled:
+        for f in (GF2, GF3, QQ):
+            assert necessary_scm_by_full_scan(G, frozenset(S), f) is None
+
+
+def test_one_search_per_graph_gives_every_field_its_single_field_result():
+    import json
+    from edgeideals.decide import _decide
+    from edgeideals.harness import _CLAIMS, rp2_sd
+    fields = (GF2, GF3, QQ)
+    sampler, hypothesis, _ = _CLAIMS["T4.1"]
+    rng = random.Random(41)
+    pairs = [sampler(rng, 7) for _ in range(40)]
+    failing = []
+    while len(failing) < 12:
+        G, S = sampler(rng, 7)
+        if hypothesis(G, S):
+            failing.append((G, S))
+    pairs += failing
+    for G, S in pairs:
+        assert _decide(G, fields, S) == tuple(necessary_scm(G, S, f) for f in fields), (G, S)
+    graphs = [rp2_sd()] + [field_pool_graph(i) for i in range(6)]
+    graphs += [add_whiskers(G, S)[0] for G, S in failing + pairs[:12]]
+    for G in graphs:
+        for cm, single in ((False, is_sequentially_cm), (True, is_cm)):
+            for f, v in zip(fields, _decide(G, fields, cm=cm)):
+                w = single(G, f)
+                assert json.dumps(v.to_json(G.labels)) == json.dumps(w.to_json(G.labels))
+                assert (v.value, v.field, v.notes) == (w.value, f, w.notes)
+
+
 def test_necessary_scans_when_the_search_overruns(monkeypatch):
     import edgeideals.decide
     from edgeideals.harness import ex43_pair

@@ -13,8 +13,9 @@ from edgeideals.graphs import (_bits, _covers_by_size, _independent_sets, _induc
                                _mask_of, _minimal_cover_masks)
 from edgeideals.monomials import _order_key, alexander_dual_of_edge_ideal
 
-from oracles import (brute_covers, brute_minimal_covers, every_labelled_graph,
-                     independent_sets_by_recursion, induces_one_cycle_by_union_find)
+from oracles import (brute_covers, brute_minimal_covers, classify_by_mcs,
+                     every_labelled_graph, independent_sets_by_recursion,
+                     induces_one_cycle_by_union_find, is_chordal_by_mcs, peo_violation)
 
 
 def ex38_base():
@@ -152,17 +153,6 @@ def test_c4_plus_chord_chordal():
     assert is_chordal(G).chordal
 
 
-def _peo_is_valid(G, peo):
-    rank = {v: i for i, v in enumerate(peo)}
-    for i, v in enumerate(peo):
-        later = [w for w in _bits(G.adj[v]) if rank[w] > i]
-        for a in later:
-            for b in later:
-                if a < b and not G.has_edge(a, b):
-                    return False
-    return True
-
-
 def _cycle_is_chordless(G, cycle):
     k = len(cycle)
     if k < 4 or len(set(cycle)) != k:
@@ -183,9 +173,32 @@ def test_chordality_certificates_self_validate():
         res = is_chordal(G)
         if res.chordal:
             assert sorted(res.elimination_order) == list(range(n))
-            assert _peo_is_valid(G, res.elimination_order)
+            assert peo_violation(G, res.elimination_order) is None
         else:
             assert _cycle_is_chordless(G, res.chordless_cycle)
+
+
+def test_elimination_kernel_matches_the_mcs_oracle():
+    # every labelled graph on <= 5 vertices with every S of <= 4 vertices,
+    # and draws of every campaign sampler
+    from edgeideals.harness import _CLAIMS
+    pairs = [(G, frozenset(_bits(s))) for G in every_labelled_graph(5)
+             for s in range(1 << G.n) if s.bit_count() <= 4]
+    for k, (sampler, _, _) in enumerate(_CLAIMS.values()):
+        rng = random.Random(900 + k)
+        pairs += [sampler(rng, 7) for _ in range(100)]
+    # the oracle runs once per distinct remainder, on the rebuilt graph
+    oracle = {}
+    for G, S in pairs:
+        H = delete_vertices(G, sorted(S))
+        if H.adj not in oracle:
+            oracle[H.adj] = classify_by_mcs(H)
+            res = is_chordal(H)
+            assert res.chordal == is_chordal_by_mcs(H), H
+            if res.chordal:
+                assert sorted(res.elimination_order) == list(range(H.n))
+                assert peo_violation(H, res.elimination_order) is None
+        assert classify_remainder(G, S).value == oracle[H.adj], (G, S)
 
 
 # ---------------------------------------------------------------------------

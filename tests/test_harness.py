@@ -68,6 +68,29 @@ def test_report_text_and_json_shape():
     assert "RESULT: PASS" in r.to_text()
 
 
+def test_t41_conclusion_searches_each_graph_once_for_all_fields(monkeypatch):
+    import edgeideals.decide
+    from edgeideals import GF2, GF3, QQ, add_whiskers
+    from edgeideals.harness import _CLAIMS, _trial_rng
+    campaign = Campaign("T4.1", trials=1, seed=3, fields=(GF2, GF3, QQ))
+    searched = []
+    real = edgeideals.decide.has_dual_linear_quotients
+    monkeypatch.setattr(edgeideals.decide, "has_dual_linear_quotients",
+                        lambda G, **kw: searched.append(G.adj) or real(G, **kw))
+    # replay the trial's rejection sampling to count the hypothesis's searches
+    sampler, hypothesis, _ = _CLAIMS["T4.1"]
+    rng = _trial_rng(campaign, 0)
+    while True:
+        G, S = sampler(rng, campaign.max_n)
+        if hypothesis(G, S):
+            break
+    sampling = searched[:]
+    searched.clear()
+    assert run_campaign(campaign).passed == 1
+    remainder, whiskered = delete_vertices(G, S).adj, add_whiskers(G, S)[0].adj
+    assert searched == sampling + [remainder, whiskered]
+
+
 def test_all_induced_dlq_small():
     # a path: every induced subgraph is a forest
     assert all_induced_dlq(Graph(4, [(0, 1), (1, 2), (2, 3)]))
