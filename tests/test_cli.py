@@ -501,6 +501,52 @@ def test_t41_report_bytes_pinned(capsys):
     assert digest == T41_SHA256
 
 
+# verify-theorem <claim> --trials 20 --seed 2026 --json, order_search_stats
+# included: the bytes pin each sampler's random stream and each conclusion
+CAMPAIGN_SHA256 = {
+    "T3.2": "1ebd964c85b2cb1490942c8f25414402abf68c783e7138642fbc1b75f0c2cd8e",
+    "T3.3": "440384ae327fe78a9688a153720b7445fdfc28d4ba7488e3f2be6edf32eaf277",
+    "C3.4": "902b0fad3bf105fbc4a074a99f03101633ce40d5859cec9a0b91b5024eef1fa0",
+    "C3.5": "44cd4555fb0048c45f090992a14722a150b92f963a73c52e2d7a4de3e2d5f01f",
+    "C3.6": "09c273045034f4d524e6002556e24664c053f5ee42c05f35ae71016cb0a838e9",
+    "C4.2": "fc0484432492fea3203fa3c9d4ac721d64edc45f14a3433de0fa0ded2f17560a",
+}
+
+
+@pytest.mark.parametrize("claim", sorted(CAMPAIGN_SHA256))
+def test_campaign_report_bytes_pinned(capsys, claim):
+    import hashlib
+    code, out, _ = run(capsys, "verify-theorem", claim, "--trials", "20", "--seed", "2026",
+                       "--json")
+    assert code == 0 and json.loads(out)["failed"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CAMPAIGN_SHA256[claim]
+
+
+# fixture <id> in text and with --json
+FIXTURE_SHA256 = {
+    "EX3.8": ("a246378e63566e8942cd1c6783dd56a724a509b44d2157d5d0ca5e0e93d23b9a",
+              "c20ede57fb577c0f974654dedb0a322d51c95c6b2aeffd1991ecad70ffbdc9a8"),
+    "EX3.9": ("316acf17131b58a041b85bfce2a50d0ab1f5d9bda234df697d8d5cc62f650ad5",
+              "0dc9e648570f09d6efa4980846d3a12c1947c7981838864b03d687785b86a96c"),
+    "EX4.3": ("0f0c489a252190785befa40130055c15740ac7281134dd3b56e86c05bc31b853",
+              "93bbcd47743e8026840c76ad36d66ae1ba9e0aaa2565708cc9540f5548582c7b"),
+    "C5-ORDER": ("986e49f0e8aea381a62c2943392a18a1e28aca856d24e394e487d0f23a577bea",
+                 "93b692173d8845fece8bc6a13504e48b9356151a6d80081130b4f444feea4917"),
+    "VILLARREAL-EDGE": ("3847162f84c857a093045f22f585fd6607acd8478fe4ac9eadd319a71f6b2ee6",
+                        "b637bc7e1e35c253fa6636e06bbcf5039e71de30ff9e3cc776887a843a7a071c"),
+    "RP2-SD": ("a2036512f38acf225b589f8ccf2b0230cff2158bd07bbe2f050c8aae7aa7aba3",
+               "ab2cfc4989c83cefbf8944647378c7ee4fbbb4ddb67cef635fc930a6ab2e697a"),
+}
+
+
+@pytest.mark.parametrize("fixture_id", FIXTURE_SHA256)
+def test_fixture_output_bytes_pinned(capsys, fixture_id):
+    import hashlib
+    for extra, digest in zip(((), ("--json",)), FIXTURE_SHA256[fixture_id]):
+        code, out, _ = run(capsys, "fixture", fixture_id, *extra)
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_theorem_refuses_max_n_below_one(capsys):
     for argv in (("T3.2", "--max-n", "0", "--trials", "2"), ("T3.7", "--max-n", "0")):
         code, out, err = run(capsys, "verify-theorem", *argv)
