@@ -554,6 +554,16 @@ def test_verify_theorem_refuses_max_n_below_one(capsys):
         assert err == "error: max_n must be >= 1\n"
 
 
+def test_verify_theorem_refuses_max_n_below_the_sampler_minimum(capsys):
+    for claim, minimum in (("T3.3", 5), ("C4.2", 4)):
+        code, out, err = run(capsys, "verify-theorem", claim, "--max-n", str(minimum - 1),
+                             "--trials", "2")
+        assert code == 2 and out == ""
+        assert err == f"error: max_n must be >= {minimum} for {claim}\n"
+        assert run(capsys, "verify-theorem", claim, "--max-n", str(minimum),
+                   "--trials", "2")[0] == 0
+
+
 def test_t37_reports_the_labelled_pairs_it_swept(capsys):
     code, out, _ = run(capsys, "verify-theorem", "T3.7", "--max-n", "3", "--json")
     data = json.loads(out)

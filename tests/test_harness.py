@@ -41,6 +41,32 @@ def test_campaign_validation():
     assert Campaign("T3.2", max_n=1).max_n == 1
 
 
+def test_campaign_refuses_max_n_below_its_sampler_minimum():
+    # the five-cycle sampler needs 5 vertices and the bad-cycle sampler 4;
+    # a smaller max_n would be reported while larger graphs were drawn
+    for claim, minimum in (("T3.3", 5), ("C4.2", 4)):
+        with pytest.raises(InputError, match=f"max_n must be >= {minimum} for {claim}"):
+            Campaign(claim, trials=3, max_n=minimum - 1)
+        assert Campaign(claim, max_n=minimum).max_n == minimum
+    with pytest.raises(InputError, match="max_n must be >= 4 for C4.2"):
+        Campaign("C4.2", trials=3, max_n=2)
+    for claim in sorted(set(CLAIM_STATEMENTS) - {"T3.3", "C4.2"}):
+        assert Campaign(claim, max_n=1).max_n == 1
+
+
+def test_counterexample_reruns_a_cm_claim_with_is_cm(monkeypatch):
+    # C3.6 concludes Cohen-Macaulayness, so its failure reproduces under is-cm
+    import edgeideals.harness
+    sampler, hypothesis, _ = edgeideals.harness._CLAIMS["C3.6"]
+    monkeypatch.setitem(edgeideals.harness._CLAIMS, "C3.6",
+                        (sampler, hypothesis, lambda G, S, fields: (False, "forced")))
+    report = run_campaign(Campaign("C3.6", trials=1, max_n=4, seed=1))
+    assert report.failed == 1
+    assert report.failures[0]["rerun"].startswith("edgeideals is-cm GRAPH_FILE")
+    report = run_campaign(Campaign("C3.5", trials=1, max_n=4, seed=1))
+    assert report.ok
+
+
 @pytest.mark.parametrize("claim", sorted(set(CLAIM_STATEMENTS) - {"T3.7"}))
 def test_small_campaigns_pass(claim):
     report = run_campaign(Campaign(claim, trials=8, max_n=6, seed=42))
