@@ -12,7 +12,6 @@ without trusting the path that produced it.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -22,7 +21,7 @@ from .graphs import (Graph, add_whiskers, delete_vertices, RemainderClass, _bits
 from .monomials import alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
-                       reduced_homology_ranks, _componentwise_scan, _koszul_complex)
+                       _componentwise_scan, _facet_ranks, _koszul_complex)
 
 __all__ = [
     "Verdict",
@@ -40,8 +39,6 @@ __all__ = [
     "check_evidence",
     "DEFAULT_SEARCH_BUDGET",
 ]
-
-log = logging.getLogger(__name__)
 
 # node budget for the exact order search inside verdicts; overruns fall back
 # to the homological path instead of stalling
@@ -199,8 +196,6 @@ def _scan_verdict(report, field: FieldSpec) -> Verdict:
                f"depends on the field" if d in report.witnesses else
                f"degree {d} has a linear resolution but no linear-quotients order")
         notes = notes + (f"componentwise linear without dual linear quotients: {why}",)
-        log.info("%d-vertex graph: componentwise linear over field %s without dual "
-                 "linear quotients; %s", report.graph.n, field, why)
     return Verdict("SCM", True, field, ComponentwiseScan(dict(cwl.per_degree)),
                    notes=notes, dual=report.dual)
 
@@ -329,10 +324,15 @@ def necessary_scm(G: Graph, S, field: FieldSpec = GF2) -> SyzygyWitness | None:
 def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> bool:
     """Re-check a witness by comparing both upper Koszul complexes.
 
-    Builds the component of the remainder's dual at the witness degree and
-    the whiskered dual's component at the lifted degree, and tests that the
-    two complexes have identical face sets (after re-embedding) and equal
-    nonzero Betti numbers at the witness index.
+    A witness on the linear strand (|multidegree| = base degree + index)
+    is refused.  Otherwise this builds the component of the remainder's
+    dual at the witness degree and the whiskered dual's component at the
+    lifted degree, and tests that the two upper Koszul complexes are equal
+    after re-embedding, facet by facet, and have a nonzero Betti number at
+    the witness index.  Both facet families are antichains (the lemma of
+    ``homology._koszul_complex``), so two complexes are equal exactly when
+    their facet sets are; equal complexes have equal Betti numbers, so one
+    rank is computed.
     """
     smask = G._check_vertices(S)
     sset = frozenset(_bits(smask))
@@ -342,6 +342,8 @@ def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> 
         raise InputError("witness multidegree hits a whiskered vertex")
     if w.lifted != w.multidegree | sset:
         raise InputError("witness lift does not match S")
+    if len(w.multidegree) == w.base_degree + w.index:
+        return False
     H = delete_vertices(G, sset)
     comp_h = squarefree_degree_component(alexander_dual_of_edge_ideal(H), w.base_degree)
     k_b = _koszul_complex(comp_h.masks, _mask_of(pos[v] for v in w.multidegree))
@@ -351,18 +353,16 @@ def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> 
     k_c = _koszul_complex(comp_w.masks, _mask_of(w.lifted))
 
     mapped = set()
-    for m in k_c.face_masks():
+    for m in k_c:
         f = 0
         for v in _bits(m):
             if v not in pos:
                 return False
             f |= 1 << pos[v]
         mapped.add(f)
-    if mapped != k_b.face_masks():
+    if mapped != set(k_b):
         return False
-    rank_b = reduced_homology_ranks(k_b, field).get(w.index - 1, 0)
-    rank_c = reduced_homology_ranks(k_c, field).get(w.index - 1, 0)
-    return rank_b == rank_c and rank_b > 0
+    return _facet_ranks(k_b, field).get(w.index - 1, 0) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +431,19 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     x_b = _mask_of(b)
     # the complex at b sees only the generators of the degree-d component
     # dividing x^b: the d-subsets of b that hold a generator of the dual.
-    # Each of these F leaves a facet of |b| - d vertices, so F is counted
-    # only up to the bound, with no component built
+    # Each of these F leaves a facet of |b| - d vertices, b minus F, so the
+    # facets are counted only up to the bound, with no component built
     limit = DEFAULT_SEARCH_BUDGET >> max(len(b) - d, 0)
-    inside = set()
+    facets = set()
     for g in dual.masks:
         if g & ~x_b == 0 and g.bit_count() <= d:
             for extra in combinations(_bits(x_b & ~g), d - g.bit_count()):
-                inside.add(g | _mask_of(extra))
-                if len(inside) > limit:
+                facets.add(x_b & ~(g | _mask_of(extra)))
+                if len(facets) > limit:
                     raise SearchBudgetExceeded(
                         f"witness complex may have over {DEFAULT_SEARCH_BUDGET} faces: more "
                         f"than {limit} generators divide x^b, each leaving {len(b) - d} vertices")
-    if reduced_homology_ranks(_koszul_complex(inside, x_b), field).get(i - 1, 0) == 0:
+    if _facet_ranks(facets, field).get(i - 1, 0) == 0:
         return "witness Betti number vanishes on re-computation"
     return None
 

@@ -2,9 +2,12 @@
 
 Betti numbers of a square-free monomial ideal are read off as ranks of
 reduced homology of upper Koszul complexes; ranks alone suffice over a
-field, so no normal forms are computed.  GF(2) ranks run on bitmask rows,
-odd primes on sparse columns mod p, and the rationals on fraction-free
-integer elimination.
+field, so no normal forms are computed.  Inside the library a complex is
+its list of facet masks, which one kernel (``_facet_ranks``) turns into
+ranks; ``SimplicialComplex`` is the public type, built only by
+``upper_koszul_complex`` and by callers.  GF(2) ranks run on bitmask
+columns; odd primes and the rationals share one fraction-free elimination
+on sparse columns, reduced mod p or divided by each column's gcd over Q.
 """
 
 from __future__ import annotations
@@ -97,11 +100,13 @@ QQ = FieldSpec(None)
 class SimplicialComplex:
     """Face complex stored by its facets (masks over variable indices).
 
-    The facets are the inclusion-maximal members of the given family, kept
-    as a tuple of increasing ints: ranks of homology read no order, so none
-    is imposed beyond a canonical one.  No facets at all is the void
-    complex; the single facet 1 (empty mask) is the irrelevant complex
-    whose only face is the empty set.
+    The public type: ``upper_koszul_complex`` builds it and callers may,
+    while the library's own scans hand facet masks straight to the ranks
+    kernel and build none.  The facets are the inclusion-maximal members of
+    the given family, kept as a tuple of increasing ints: ranks of homology
+    read no order, so none is imposed beyond a canonical one.  No facets at
+    all is the void complex; the single facet 0 (empty mask) is the
+    irrelevant complex whose only face is the empty set.
     """
 
     __slots__ = ("ground", "facets")
@@ -125,21 +130,7 @@ class SimplicialComplex:
         return max(m.bit_count() for m in self.facets) - 1
 
     def face_masks(self) -> set:
-        faces = set()
-        for f in self.facets:
-            s = f
-            while True:
-                faces.add(s)
-                if s == 0:
-                    break
-                s = (s - 1) & f
-        return faces
-
-    def faces_by_size(self) -> dict:
-        out = {}
-        for m in self.face_masks():
-            out.setdefault(m.bit_count(), []).append(m)
-        return out
+        return _faces(self.facets)
 
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
@@ -161,16 +152,34 @@ def upper_koszul_complex(M: MonomialIdeal, b: Monomial) -> SimplicialComplex:
     Equivalently the facets are the complements in b of the generators
     dividing x^b; void when x^b is not in M.
     """
-    full = (1 << M.ambient) - 1
-    if b.mask & ~full:
+    if b.mask >> M.ambient:
         raise InputError("multidegree outside the ambient variables")
-    return _koszul_complex(M.masks, b.mask)
+    return SimplicialComplex(b.mask, _koszul_complex(M.masks, b.mask))
 
 
-def _koszul_complex(gens, b: int) -> SimplicialComplex:
-    """The upper Koszul complex at the mask ``b`` of the ideal generated by
-    the masks ``gens``: one facet b minus g per generator g inside b."""
-    return SimplicialComplex(b, [b & ~g for g in gens if g & ~b == 0])
+def _koszul_complex(gens, b: int) -> list:
+    """Facet masks of the upper Koszul complex at the mask ``b`` of the
+    ideal generated by the masks ``gens``: one facet b minus g per
+    generator g inside b.
+
+    Lemma: for minimal generators the facets form an antichain.  For g and
+    h inside b, b minus g lies in b minus h only when h lies in g, and
+    minimal generators are incomparable, so no facet lies in another.
+    """
+    return [b & ~g for g in gens if g & ~b == 0]
+
+
+def _faces(facets) -> set:
+    """Every subset of every mask in ``facets``."""
+    faces = set()
+    for f in facets:
+        s = f
+        while True:
+            faces.add(s)
+            if s == 0:
+                break
+            s = (s - 1) & f
+    return faces
 
 
 # ---------------------------------------------------------------------------
@@ -193,55 +202,45 @@ def _rank_gf2(cols) -> int:
 
 
 def _rank_modp(cols, p: int) -> int:
-    pivots = {}
-    rank = 0
-    for c in cols:
-        c = {k: v % p for k, v in c.items() if v % p}
-        while c:
-            r = min(c)
-            piv = pivots.get(r)
-            if piv is None:
-                inv = pow(c[r], -1, p)
-                pivots[r] = {k: (v * inv) % p for k, v in c.items()}
-                rank += 1
-                break
-            f = c[r]
-            nxt = {}
-            for k in c.keys() | piv.keys():
-                v = (c.get(k, 0) - f * piv.get(k, 0)) % p
-                if v:
-                    nxt[k] = v
-            c = nxt
-    return rank
+    return _eliminate(cols, p)
 
 
 def _rank_exact(cols) -> int:
-    """Rank over Q by fraction-free integer elimination."""
+    """Rank over Q."""
+    return _eliminate(cols, None)
+
+
+def _eliminate(cols, p) -> int:
+    """Rank of sparse integer columns, each a dict from row to entry.
+
+    Fraction-free elimination on the lowest row r: a column c meeting the
+    pivot column q there becomes q[r] * c - c[r] * q, so no inverse is
+    taken.  With a prime ``p`` entries are reduced mod p; over Q (``p``
+    None) each new column is divided by the gcd of its entries, which
+    keeps them small.
+    """
     pivots = {}
     rank = 0
     for c in cols:
-        c = {k: v for k, v in c.items() if v}
+        c = {k: v % p for k, v in c.items() if v % p} if p else {k: v for k, v in c.items() if v}
         while c:
             r = min(c)
-            piv = pivots.get(r)
-            if piv is None:
-                g = 0
-                for v in c.values():
-                    g = gcd(g, v)
-                pivots[r] = {k: v // g for k, v in c.items()}
+            q = pivots.get(r)
+            if q is None:
+                pivots[r] = c
                 rank += 1
                 break
-            pr, cr = piv[r], c[r]
+            qr, cr = q[r], c[r]
             nxt = {}
-            for k in c.keys() | piv.keys():
-                v = pr * c.get(k, 0) - cr * piv.get(k, 0)
+            for k in c.keys() | q.keys():
+                v = qr * c.get(k, 0) - cr * q.get(k, 0)
+                if p:
+                    v %= p
                 if v:
                     nxt[k] = v
             c = nxt
-            if c:
-                g = 0
-                for v in c.values():
-                    g = gcd(g, v)
+            if not p:
+                g = gcd(*c.values())
                 if g > 1:
                     c = {k: v // g for k, v in c.items()}
     return rank
@@ -277,21 +276,29 @@ def reduced_homology_ranks(K: SimplicialComplex, field: FieldSpec = GF2) -> dict
     The void complex has no homology at all (empty dict); the irrelevant
     complex has rank one in dimension -1.
     """
-    if K.is_void:
+    return _facet_ranks(K.facets, field)
+
+
+def _facet_ranks(facets, field: FieldSpec) -> dict:
+    """``reduced_homology_ranks`` of the complex whose faces are the
+    subsets of the masks ``facets``, in increasing dimension.  Any family
+    will do: a member inside another, or repeated, adds no face."""
+    if not facets:
         return {}
-    dim = K.dim
-    out = {j: 0 for j in range(-1, dim + 1)}
+    dim = max(m.bit_count() for m in facets) - 1
+    out = dict.fromkeys(range(-1, dim + 1), 0)
     # a vertex in every facet makes the complex a cone, hence contractible
-    common = K.facets[0]
-    for f in K.facets[1:]:
+    common = -1
+    for f in facets:
         common &= f
     if common:
         return out
-    faces = K.faces_by_size()
-    bd_rank = {}
-    for k in range(1, dim + 2):
-        bd_rank[k] = _boundary_rank(faces.get(k, []), faces.get(k - 1, []), field)
-    for j in range(-1, dim + 1):
+    faces = {}
+    for m in _faces(facets):
+        faces.setdefault(m.bit_count(), []).append(m)
+    bd_rank = {k: _boundary_rank(faces.get(k, []), faces.get(k - 1, []), field)
+               for k in range(1, dim + 2)}
+    for j in out:
         out[j] = len(faces.get(j + 1, [])) - bd_rank.get(j + 1, 0) - bd_rank.get(j + 2, 0)
     return out
 
@@ -364,6 +371,13 @@ def _lcm_lattice(gens, spend=None) -> list:
     return sorted(lattice, key=_order_key)
 
 
+def _lattice_ranks(gens, field: FieldSpec, spend=None):
+    """(b, reduced homology ranks of the upper Koszul complex at b) for
+    each point b of ``_lcm_lattice(gens, spend)``, in its order."""
+    for b in _lcm_lattice(gens, spend):
+        yield b, _facet_ranks(_koszul_complex(gens, b), field)
+
+
 def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     """Multigraded Betti numbers via upper Koszul homology.
 
@@ -372,9 +386,7 @@ def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     """
     entries = {}
     totals = {}
-    gens = M.masks
-    for b in _lcm_lattice(gens):
-        ranks = reduced_homology_ranks(_koszul_complex(gens, b), field)
+    for b, ranks in _lattice_ranks(M.masks, field):
         size = b.bit_count()
         for j, r in ranks.items():
             if r:
@@ -386,8 +398,7 @@ def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
 
 def betti_at(M: MonomialIdeal, b: Monomial, i: int, field: FieldSpec = GF2) -> int:
     """Single multigraded Betti number beta_{i,b}."""
-    ranks = reduced_homology_ranks(upper_koszul_complex(M, b), field)
-    return ranks.get(i - 1, 0)
+    return reduced_homology_ranks(upper_koszul_complex(M, b), field).get(i - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +417,10 @@ def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2, spend=None):
     if not M.is_equigenerated:
         raise InputError("linear-resolution test needs an equigenerated ideal")
     d = M.min_degree
-    gens = M.masks
-    for b in _lcm_lattice(gens, spend):
-        ranks = reduced_homology_ranks(_koszul_complex(gens, b), field)
+    for b, ranks in _lattice_ranks(M.masks, field, spend):
         size = b.bit_count()
-        for j in sorted(ranks):
-            if ranks[j] and size != d + j + 1:
+        for j, r in ranks.items():
+            if r and size != d + j + 1:
                 return (j + 1, frozenset(_bits(b)))
     return None
 

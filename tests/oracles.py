@@ -11,10 +11,13 @@ recursive independent-set walk branches as the package's stack walk does
 and is the reference for its masks and their order.  The labelled-graph
 enumeration and the benchmark's field pool are shared test inputs.  The
 chordality oracle is maximum-cardinality search with a perfect-elimination
-check, where the package eliminates simplicial vertices.
+check, where the package eliminates simplicial vertices.  Ranks are dense
+Gaussian elimination with pivot inverses, over Fractions or mod p, where
+the package eliminates sparse columns fraction-free.
 """
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
@@ -356,6 +359,62 @@ def koszul_faces_by_scan(gen_supports, b):
             if any(g <= rest for g in gen_supports):
                 faces.add(a)
     return faces
+
+
+def rank_by_dense_elimination(cols, p=None):
+    """Rank of sparse columns (dicts from row to integer entry) by Gaussian
+    elimination on a dense matrix: over Q with Fraction entries, or mod the
+    prime ``p`` with plain integers and Fermat inverses."""
+    rows = sorted({r for c in cols for r in c})
+    where = {r: i for i, r in enumerate(rows)}
+    mat = [[0] * len(cols) for _ in rows]
+    for j, c in enumerate(cols):
+        for r, v in c.items():
+            mat[where[r]][j] = v % p if p else Fraction(v)
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(rows)) if mat[i][j]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][j], p - 2, p) if p else 1 / mat[rank][j]
+        for i in range(rank + 1, len(rows)):
+            f = mat[i][j] * inv
+            mat[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def boundary_columns(upper, lower):
+    """The boundary map from the faces ``upper`` to the faces ``lower``
+    (sorted vertex tuples) as sparse columns: row of face minus its j-th
+    vertex, entry (-1)^j."""
+    index = {f: i for i, f in enumerate(lower)}
+    return [{index[f[:j] + f[j + 1:]]: (-1) ** j for j in range(len(f))} for f in upper]
+
+
+def faces_by_size(facets):
+    """Every subset of every vertex set in ``facets``, as sorted tuples,
+    listed by size."""
+    faces = {}
+    for f in facets:
+        for k in range(len(f) + 1):
+            faces.setdefault(k, set()).update(combinations(sorted(f), k))
+    return {k: sorted(v) for k, v in faces.items()}
+
+
+def reduced_homology_by_dense_elimination(facets, p=None):
+    """Reduced homology ranks of the complex whose faces are the subsets of
+    the vertex sets ``facets``, from every face listed by size and the dense
+    ranks of its boundary maps; an empty dict for no facets at all."""
+    faces = faces_by_size(facets)
+    if not faces:
+        return {}
+    top = max(faces)
+    rank = {k: rank_by_dense_elimination(boundary_columns(faces[k], faces[k - 1]), p)
+            for k in range(1, top + 1)}
+    return {j: len(faces[j + 1]) - rank.get(j + 1, 0) - rank.get(j + 2, 0)
+            for j in range(-1, top)}
 
 
 def hilbert_numerator_from_gens(M):

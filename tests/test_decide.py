@@ -10,7 +10,7 @@ from edgeideals import (GF2, GF3, QQ, Graph, InputError, add_whiskers,
                         necessary_scm, nonlinear_witness, path_graph,
                         squarefree_degree_component, sufficient_scm, verify_order)
 from edgeideals.decide import (DEFAULT_SEARCH_BUDGET, BettiWitness, ComponentwiseScan,
-                               QuotientCertificates, ZeroIdealConvention)
+                               QuotientCertificates, SyzygyWitness, ZeroIdealConvention)
 from edgeideals.monomials import Monomial
 
 from oracles import field_pool_graph, necessary_scm_by_full_scan
@@ -192,6 +192,15 @@ def test_lift_holds_for_random_witnesses():
         W, _ = add_whiskers(G, S)
         assert not is_sequentially_cm(W).value
         found += 1
+
+
+def test_lift_refuses_a_witness_on_the_linear_strand():
+    # EX4.3's remainder is C4, whose degree-3 dual component holds all four
+    # 3-subsets: at b = {0, 1, 2, 3} its upper Koszul complex is four points,
+    # so beta_{1,b} = 3, but |b| = 3 + 1 puts it on the linear strand
+    G = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
+    w = SyzygyWitness(3, 1, frozenset({0, 1, 2, 3}), frozenset({0, 1, 2, 3, 4}))
+    assert not check_koszul_lift(G, {4}, w)
 
 
 def test_lift_validates_inputs():

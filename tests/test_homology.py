@@ -11,9 +11,12 @@ from edgeideals import (GF2, GF3, QQ, FieldSpec, Graph, InputError, Monomial,
                         make_order, nonlinear_witness, reduced_homology_ranks,
                         squarefree_degree_component, upper_koszul_complex)
 from edgeideals.graphs import _bits, _mask_of
+from edgeideals.homology import _facet_ranks, _rank_exact, _rank_gf2, _rank_modp
 
-from oracles import (component_count, hilbert_numerator_from_betti,
-                     hilbert_numerator_from_gens, koszul_faces_by_scan)
+from oracles import (boundary_columns, component_count, faces_by_size,
+                     hilbert_numerator_from_betti, hilbert_numerator_from_gens,
+                     koszul_faces_by_scan, rank_by_dense_elimination,
+                     reduced_homology_by_dense_elimination)
 
 M = Monomial
 
@@ -147,6 +150,91 @@ def test_complex_keeps_the_maximal_facets_of_any_family():
     assert SimplicialComplex(0b111, [0]).facets == (0,)
     with pytest.raises(InputError):
         SimplicialComplex(0b011, [0b001, 0b100])
+
+
+def test_rank_kernels_match_dense_elimination():
+    # random sparse integer columns with entries beyond +-1 and multiples of
+    # the primes, so the Q kernel's gcd step runs, and the boundary matrices
+    # of random complexes
+    rng = random.Random(29)
+    cases = [[{0: 1, 1: 2}, {0: 1, 1: 4}]]  # the second column reduces to {1: 2}
+    for _ in range(300):
+        rows, scale = rng.randint(1, 8), rng.choice((1, 2, 3, 6))
+        cases.append([{r: scale * rng.randint(-6, 6)
+                       for r in rng.sample(range(rows), rng.randint(0, rows))}
+                      for _ in range(rng.randint(0, 8))])
+    for _ in range(40):
+        faces = faces_by_size(rng.sample(range(6), rng.randint(1, 5))
+                              for _ in range(rng.randint(1, 5)))
+        cases += [boundary_columns(faces[k], faces[k - 1]) for k in range(1, max(faces) + 1)]
+    for cols in cases:
+        assert _rank_gf2([sum(1 << r for r, v in c.items() if v % 2) for c in cols]) == \
+            rank_by_dense_elimination(cols, 2)
+        for p in (3, 5, 2 ** 31 - 1):
+            assert _rank_modp(cols, p) == rank_by_dense_elimination(cols, p), (cols, p)
+        assert _rank_exact(cols) == rank_by_dense_elimination(cols), cols
+
+
+def test_facet_kernel_takes_any_family_of_facets():
+    # nested and repeated members add no face, and _check_betti_witness
+    # hands the kernel a plain set: the ranks are the complex's all the same
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        base = [rng.getrandbits(n) for _ in range(rng.randint(1, 5))]
+        family = base + [m & rng.getrandbits(n) for m in base] + rng.choices(base, k=2)
+        rng.shuffle(family)
+        for field, p in ((GF2, 2), (GF3, 3), (QQ, None)):
+            want = reduced_homology_by_dense_elimination([list(_bits(m)) for m in family], p)
+            assert _facet_ranks(family, field) == want, (family, field)
+            assert _facet_ranks(set(family), field) == want
+            assert reduced_homology_ranks(SimplicialComplex((1 << n) - 1, family), field) == want
+    assert _facet_ranks([], GF2) == {} and _facet_ranks({0}, QQ) == {-1: 1}
+
+
+def test_library_paths_build_no_simplicial_complex(monkeypatch):
+    # the library hands facet masks to the ranks kernel: verdicts, evidence
+    # re-checks, dlq reports, campaigns (T4.1's Koszul lift in three fields
+    # included) and fixtures build no SimplicialComplex
+    from edgeideals import (FIXTURE_IDS, Campaign, check_evidence, has_dual_linear_quotients,
+                            is_cm, is_sequentially_cm, run_campaign, run_fixture)
+    from edgeideals import harness
+    from edgeideals.decide import DEFAULT_SEARCH_BUDGET
+    from oracles import field_pool_graph
+
+    built, lifts, kinds = [], [], set()
+    init = SimplicialComplex.__init__
+    lift = harness.check_koszul_lift
+
+    def counted_init(self, ground, facets):
+        built.append(ground)
+        init(self, ground, facets)
+
+    def counted_lift(*args):
+        lifts.append(args)
+        return lift(*args)
+
+    monkeypatch.setattr(SimplicialComplex, "__init__", counted_init)
+    monkeypatch.setattr(harness, "check_koszul_lift", counted_lift)
+    graphs = [harness.rp2_sd()] + [field_pool_graph(i) for i in range(6)]
+    for i, G in enumerate(graphs):
+        decide = (is_sequentially_cm, is_cm)[i % 2]
+        for field in (GF2, GF3, QQ):
+            data = decide(G, field).to_json(G.labels)
+            kinds.add(data["evidence"]["kind"])
+            assert check_evidence(G, data)[0]
+        report = has_dual_linear_quotients(G, budget=DEFAULT_SEARCH_BUDGET)
+        assert check_evidence(G, report.to_json(G.labels))[0]
+    assert run_campaign(Campaign("T4.1", trials=4, max_n=6, seed=1,
+                                 fields=(GF2, GF3, QQ))).ok
+    assert run_campaign(Campaign("T3.7", max_n=4)).ok
+    for fixture in FIXTURE_IDS:
+        assert run_fixture(fixture).passed
+    assert built == []
+    assert len(lifts) == 12 and {"betti-witness", "componentwise-scan"} <= kinds
+    # the counter does see the public constructor
+    upper_koszul_complex(MonomialIdeal.from_generators(4, [M([0, 2]), M([1, 3])]), M([0, 1, 2, 3]))
+    assert built == [0b1111]
 
 
 # ---------------------------------------------------------------------------
