@@ -16,12 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import (Graph, add_whiskers, delete_vertices, RemainderClass, _bits,
-                     _classify_remainder, _edgeless, _mask_of)
+from .graphs import (Graph, delete_vertices, RemainderClass, _bits, _classify_remainder,
+                     _edgeless, _mask_of, _minimal_cover_masks, _whiskered_adj)
 from .monomials import alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
-                       _componentwise_scan, _facet_ranks, _koszul_complex)
+                       _componentwise_scan, _facet_ranks)
 
 __all__ = [
     "Verdict",
@@ -234,8 +234,13 @@ def sufficient_scm(G: Graph, S) -> TheoremHit | None:
     """First sufficient condition guaranteeing that whiskering S yields SCM.
 
     Scanned in order: S a vertex cover; chordal remainder; five-cycle
-    remainder; |S| >= |V|-3.  None means the conditions are silent, not
-    that whiskering fails.
+    remainder.  None means the conditions are silent, not that whiskering
+    fails.
+
+    C3.5 (|S| >= |V|-3) needs no rule of its own, since it follows from
+    T3.2: at most three vertices remain, and a graph on at most three
+    vertices has no cycle of length four or more, so the remainder is
+    edgeless (vertex-cover) or chordal (chordal-remainder).
     """
     smask = G._check_vertices(S)
     rest = ((1 << G.n) - 1) & ~smask
@@ -249,9 +254,6 @@ def sufficient_scm(G: Graph, S) -> TheoremHit | None:
     if remainder is RemainderClass.FIVE_CYCLE:
         return TheoremHit("five-cycle-remainder", "T3.3",
                           "deleting S leaves a five-cycle (ignoring isolated vertices)")
-    if smask.bit_count() >= G.n - 3:
-        return TheoremHit("size-bound", "C3.5",
-                          "S misses at most three vertices")
     return None
 
 
@@ -325,44 +327,36 @@ def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> 
     """Re-check a witness by comparing both upper Koszul complexes.
 
     A witness on the linear strand (|multidegree| = base degree + index)
-    is refused.  Otherwise this builds the component of the remainder's
-    dual at the witness degree and the whiskered dual's component at the
-    lifted degree, and tests that the two upper Koszul complexes are equal
-    after re-embedding, facet by facet, and have a nonzero Betti number at
-    the witness index.  Both facet families are antichains (the lemma of
-    ``homology._koszul_complex``), so two complexes are equal exactly when
-    their facet sets are; equal complexes have equal Betti numbers, so one
-    rank is computed.
+    is refused.  Otherwise the complex of the remainder's dual at the
+    multidegree b is built from the minimal covers of G minus S, and that
+    of the whiskered graph's dual at the lift b + S from the minimal covers
+    of G with S whiskered, both in G's own vertex indices (the tips come
+    after them), by ``_koszul_facets``, the bounded builder that
+    ``check_evidence`` uses.  The witness holds when the two facet sets are
+    equal and the Betti number at the witness index is nonzero.  All facets
+    of both complexes have |b| - base degree vertices, so each family is an
+    antichain, and two complexes are equal exactly when their facet sets
+    are; a facet of the lift that holds a vertex of S equals none inside b.
+    Equal complexes have equal Betti numbers, so one rank is computed.
+
+    Raises InputError for a vertex out of range, a multidegree that meets
+    S, or a lift other than b + S, and SearchBudgetExceeded, before any
+    rank, when either complex may have more than ``DEFAULT_SEARCH_BUDGET``
+    faces.
     """
     smask = G._check_vertices(S)
-    sset = frozenset(_bits(smask))
-    keep = [v for v in range(G.n) if v not in sset]
-    pos = {v: i for i, v in enumerate(keep)}
-    if not w.multidegree <= frozenset(keep):
+    b = G._check_vertices(w.multidegree)  # names a vertex out of range
+    if b & smask:
         raise InputError("witness multidegree hits a whiskered vertex")
-    if w.lifted != w.multidegree | sset:
+    if w.lifted != frozenset(_bits(b | smask)):
         raise InputError("witness lift does not match S")
     if len(w.multidegree) == w.base_degree + w.index:
         return False
-    H = delete_vertices(G, sset)
-    comp_h = squarefree_degree_component(alexander_dual_of_edge_ideal(H), w.base_degree)
-    k_b = _koszul_complex(comp_h.masks, _mask_of(pos[v] for v in w.multidegree))
-
-    GW, _ = add_whiskers(G, sset)
-    comp_w = squarefree_degree_component(alexander_dual_of_edge_ideal(GW), w.lifted_degree)
-    k_c = _koszul_complex(comp_w.masks, _mask_of(w.lifted))
-
-    mapped = set()
-    for m in k_c:
-        f = 0
-        for v in _bits(m):
-            if v not in pos:
-                return False
-            f |= 1 << pos[v]
-        mapped.add(f)
-    if mapped != set(k_b):
-        return False
-    return _facet_ranks(k_b, field).get(w.index - 1, 0) > 0
+    k_b = _koszul_facets(_minimal_cover_masks(G.adj, ((1 << G.n) - 1) & ~smask), w.base_degree, b)
+    wadj = _whiskered_adj(G.adj, smask)
+    k_c = _koszul_facets(_minimal_cover_masks(wadj, (1 << len(wadj)) - 1), w.lifted_degree,
+                         b | smask)
+    return k_b == k_c and _facet_ranks(k_b, field).get(w.index - 1, 0) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +396,30 @@ def _check_certificate(G: Graph, dual, data, d=None):
     return ok, "linear quotients verified" if ok else "colon steps do not verify"
 
 
+def _koszul_facets(gens, d: int, b: int) -> set:
+    """The facets of the upper Koszul complex at the mask ``b`` of the
+    degree-d component of the ideal generated by the masks ``gens``.
+
+    The complex at b sees only the component's generators dividing x^b:
+    the d-subsets F of b that hold a generator.  Each F leaves a facet of
+    |b| - d vertices, b minus F, so the facets are counted only up to the
+    bound, with no component built.  Raises SearchBudgetExceeded once the
+    complex may have more than ``DEFAULT_SEARCH_BUDGET`` faces.
+    """
+    spare = b.bit_count() - d
+    limit = DEFAULT_SEARCH_BUDGET >> max(spare, 0)
+    facets = set()
+    for g in gens:
+        if g & ~b == 0 and g.bit_count() <= d:
+            for extra in combinations(_bits(b & ~g), d - g.bit_count()):
+                facets.add(b & ~(g | _mask_of(extra)))
+                if len(facets) > limit:
+                    raise SearchBudgetExceeded(
+                        f"witness complex may have over {DEFAULT_SEARCH_BUDGET} faces: more "
+                        f"than {limit} generators divide x^b, each leaving {spare} vertices")
+    return facets
+
+
 def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     """Why a betti-witness payload fails to re-check, or None when its
     Betti number, recomputed over ``field`` from the upper Koszul complex
@@ -428,22 +446,7 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     if not dual.min_degree <= d <= dual.max_degree:
         return f"witness degree {d} lies outside the dual's degrees " \
                f"{dual.min_degree}..{dual.max_degree}"
-    x_b = _mask_of(b)
-    # the complex at b sees only the generators of the degree-d component
-    # dividing x^b: the d-subsets of b that hold a generator of the dual.
-    # Each of these F leaves a facet of |b| - d vertices, b minus F, so the
-    # facets are counted only up to the bound, with no component built
-    limit = DEFAULT_SEARCH_BUDGET >> max(len(b) - d, 0)
-    facets = set()
-    for g in dual.masks:
-        if g & ~x_b == 0 and g.bit_count() <= d:
-            for extra in combinations(_bits(x_b & ~g), d - g.bit_count()):
-                facets.add(x_b & ~(g | _mask_of(extra)))
-                if len(facets) > limit:
-                    raise SearchBudgetExceeded(
-                        f"witness complex may have over {DEFAULT_SEARCH_BUDGET} faces: more "
-                        f"than {limit} generators divide x^b, each leaving {len(b) - d} vertices")
-    if _facet_ranks(facets, field).get(i - 1, 0) == 0:
+    if _facet_ranks(_koszul_facets(dual.masks, d, _mask_of(b)), field).get(i - 1, 0) == 0:
         return "witness Betti number vanishes on re-computation"
     return None
 

@@ -391,13 +391,6 @@ class _OrderSearch:
         self._orders[key] = result
         return result
 
-    def quotient_order(self, ambient: int, active: int, d: int):
-        """``order`` packaged as a QuotientOrder, or None."""
-        ordered = self.order(active, d)
-        if ordered is None:
-            return None
-        return _order_from_masks(ambient, ordered, self._colon.get((active, d)))
-
     def _linear(self, key, seq) -> bool:
         """Walk seq once; keep its colon masks under key when it is linear."""
         colon, failed = _colon_walk(seq, stop_at_failure=True)
@@ -606,7 +599,7 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
             per_degree[d] = None
             failed = True
         else:
-            per_degree[d] = ctx.quotient_order(G.n, full, d)
+            per_degree[d] = _order_from_masks(G.n, ordered, ctx._colon.get((full, d)))
     witnesses = {d: ctx.witnesses[full, d] for d in per_degree if (full, d) in ctx.witnesses}
     return DLQReport(G, per_degree, tuple(unknown), tuple(skipped), witnesses, dual)
 

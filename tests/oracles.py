@@ -5,8 +5,10 @@ checks, union-find, Burnside counts), deliberately sharing no machinery
 with the package paths it is used to check; the exceptions, the
 tip-containing subgraph scan and the labelled sweep recursion, call the
 package's single-graph dual linear quotients check but none of the sweep's
-canonical forms or memo, and the full-scan form of ``necessary_scm`` calls
-the package's homology scan with no linear-quotients shortcut.  The
+canonical forms or memo, the full-scan form of ``necessary_scm`` calls
+the package's homology scan with no linear-quotients shortcut, and the
+Koszul lift oracle builds the package's graphs, duals, degree components
+and upper Koszul complexes, where the lift check works on cover masks.  The
 recursive independent-set walk branches as the package's stack walk does
 and is the reference for its masks and their order.  The labelled-graph
 enumeration and the benchmark's field pool are shared test inputs.  The
@@ -23,8 +25,9 @@ from math import factorial
 
 from edgeideals.decide import SyzygyWitness
 from edgeideals.graphs import Graph, add_whiskers, delete_vertices, induced_subgraph
-from edgeideals.homology import is_componentwise_linear
-from edgeideals.monomials import Monomial, MonomialIdeal, alexander_dual_of_edge_ideal
+from edgeideals.homology import _koszul_complex, is_componentwise_linear
+from edgeideals.monomials import (Monomial, MonomialIdeal, alexander_dual_of_edge_ideal,
+                                  squarefree_degree_component)
 from edgeideals.quotients import has_dual_linear_quotients
 
 
@@ -359,6 +362,36 @@ def koszul_faces_by_scan(gen_supports, b):
             if any(g <= rest for g in gen_supports):
                 faces.add(a)
     return faces
+
+
+def koszul_lift_by_components(G, S, w, field):
+    """``decide.check_koszul_lift`` through whole objects: delete S, build
+    both duals and their degree components, take each upper Koszul complex
+    with ``homology._koszul_complex``, re-embed the whiskered graph's
+    complex onto the remainder's indices, compare the facet sets, and rank
+    by dense elimination."""
+    S = frozenset(S)
+    keep = [v for v in range(G.n) if v not in S]
+    pos = {v: i for i, v in enumerate(keep)}
+    if len(w.multidegree) == w.base_degree + w.index:
+        return False
+    H = delete_vertices(G, sorted(S))
+    comp_h = squarefree_degree_component(alexander_dual_of_edge_ideal(H), w.base_degree)
+    k_b = _koszul_complex(comp_h.masks, sum(1 << pos[v] for v in w.multidegree))
+    GW, _ = add_whiskers(G, S)
+    comp_w = squarefree_degree_component(alexander_dual_of_edge_ideal(GW), w.lifted_degree)
+    k_c = _koszul_complex(comp_w.masks, sum(1 << v for v in w.lifted))
+    mapped = set()
+    for m in k_c:
+        face = [v for v in range(GW.n) if m >> v & 1]
+        if any(v not in pos for v in face):
+            return False
+        mapped.add(sum(1 << pos[v] for v in face))
+    if mapped != set(k_b):
+        return False
+    facets = [[v for v in range(H.n) if m >> v & 1] for m in k_b]
+    ranks = reduced_homology_by_dense_elimination(facets, field.characteristic)
+    return ranks.get(w.index - 1, 0) > 0
 
 
 def rank_by_dense_elimination(cols, p=None):

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +14,8 @@ from edgeideals.decide import (DEFAULT_SEARCH_BUDGET, BettiWitness, Componentwis
                                QuotientCertificates, SyzygyWitness, ZeroIdealConvention)
 from edgeideals.monomials import Monomial
 
-from oracles import field_pool_graph, necessary_scm_by_full_scan
+from oracles import (every_labelled_graph, field_pool_graph, koszul_lift_by_components,
+                     necessary_scm_by_full_scan)
 
 
 def random_graph(rng, n, p):
@@ -117,13 +119,15 @@ def test_sufficient_rule_order():
 
 
 def test_sufficient_size_bound_subsumed_by_chordal():
-    rng = random.Random(7)
-    for _ in range(20):
-        n = rng.randint(1, 7)
-        G = random_graph(rng, n, 0.5)
-        S = sorted(rng.sample(range(n), max(0, n - 3)))
-        hit = sufficient_scm(G, S)
-        assert hit is not None  # a three-vertex remainder is always chordal
+    # C3.5 follows from T3.2: at most three vertices remain, and a graph on
+    # at most three vertices is edgeless or chordal
+    pairs = 0
+    for G in every_labelled_graph(5):
+        for k in range(max(0, G.n - 3), G.n + 1):
+            for S in combinations(range(G.n), k):
+                assert sufficient_scm(G, S).rule in ("vertex-cover", "chordal-remainder")
+                pairs += 1
+    assert pairs == 27_659
 
 
 def test_sufficient_implies_scm():
@@ -208,12 +212,103 @@ def test_lift_validates_inputs():
     w = necessary_scm(G, [])
     with pytest.raises(InputError):
         check_koszul_lift(G, [0], w)  # witness does not match this S
+    # EX4.3 with S = {4}: a vertex outside 0..4 is out of range, not in S
+    G = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)])
+    for v in (9, -1):
+        b = frozenset({0, 1, 2, v})
+        with pytest.raises(InputError, match=f"vertex {v} out of range for n=5"):
+            check_koszul_lift(G, {4}, SyzygyWitness(2, 1, b, b | {4}))
+    b = frozenset({0, 1, 2, 4})
+    with pytest.raises(InputError, match="witness multidegree hits a whiskered vertex"):
+        check_koszul_lift(G, {4}, SyzygyWitness(2, 1, b, b))
+
+
+def _tampered(G, S, w):
+    """The witness w with b shifted one step along G minus S, and with its
+    base degree one off."""
+    rest = [v for v in range(G.n) if v not in S]
+    shift = frozenset(rest[(rest.index(v) + 1) % len(rest)] for v in w.multidegree)
+    if shift != w.multidegree:
+        yield SyzygyWitness(w.base_degree, w.index, shift, shift | frozenset(S))
+    for d in (w.base_degree - 1, w.base_degree + 1):
+        if d >= 0:
+            yield SyzygyWitness(d, w.index, w.multidegree, w.lifted)
+
+
+def _agree_with_oracle(G, S, w, f):
+    want = koszul_lift_by_components(G, S, w, f)
+    assert check_koszul_lift(G, S, w, f) == want, (G, S, w, f)
+    return want
+
+
+def test_lift_matches_the_component_oracle():
+    # the witnesses of the T4.1 sampler, of every labelled (G, S) on at most
+    # five vertices, and both kinds of tampered witness, in three fields
+    from edgeideals.harness import _sample_plain
+    rng = random.Random(2026)
+    pairs = [_sample_plain(rng, 7) for _ in range(3000)]
+    pairs += [(G, S) for G in every_labelled_graph(5)
+              for k in range(G.n + 1) for S in combinations(range(G.n), k)]
+    held = refused = 0
+    for G, S in pairs:
+        for f in (GF2, GF3, QQ):
+            w = necessary_scm(G, S, f)
+            if w is None:
+                continue
+            assert _agree_with_oracle(G, S, w, f)
+            held += 1
+            for bad in _tampered(G, S, w):
+                refused += not _agree_with_oracle(G, S, bad, f)
+    assert held > 1000 and refused > 2000
+
+
+def test_lift_check_builds_no_graph_ideal_or_component(monkeypatch):
+    # the lift check works on G's adjacency masks alone
+    from edgeideals import Campaign, MonomialIdeal, harness, monomials, run_campaign
+    import edgeideals.decide
+    import oracles
+    lifts = []
+    lift = harness.check_koszul_lift
+    monkeypatch.setattr(harness, "check_koszul_lift", lambda *a: lifts.append(a) or lift(*a))
+    assert run_campaign(Campaign("T4.1", trials=30, max_n=7, seed=0,
+                                 fields=(GF2, GF3, QQ))).ok
+    monkeypatch.undo()
+    built = []
+    init, from_adj = Graph.__init__, Graph.__dict__["_from_adj"].__func__
+    from_canonical = MonomialIdeal.__dict__["_from_canonical"].__func__
+    component = squarefree_degree_component
+
+    def counted(name, fn):
+        return lambda *a, **k: built.append(name) or fn(*a, **k)
+    monkeypatch.setattr(Graph, "__init__", counted("Graph", init))
+    monkeypatch.setattr(Graph, "_from_adj", classmethod(counted("Graph", from_adj)))
+    monkeypatch.setattr(MonomialIdeal, "_from_canonical",
+                        classmethod(counted("MonomialIdeal", from_canonical)))
+    for module in (monomials, edgeideals.decide, oracles):
+        monkeypatch.setattr(module, "squarefree_degree_component",
+                            counted("component", component))
+    for args in lifts:
+        assert check_koszul_lift(*args)
+    assert built == [] and len(lifts) == 90
+    # the counters see the construction through whole objects
+    assert koszul_lift_by_components(*lifts[0])
+    assert {"Graph", "MonomialIdeal", "component"} <= set(built)
+
+
+def test_lift_check_is_bounded():
+    # a perfect matching on 16 vertices has 2^8 minimal covers, each a facet
+    # of the complex at V in degree 8: past the bound of 20000 >> 8 = 78
+    # facets the check raises before it ranks anything
+    from edgeideals import SearchBudgetExceeded
+    G = Graph(16, [(2 * i, 2 * i + 1) for i in range(8)])
+    V = frozenset(range(16))
+    with pytest.raises(SearchBudgetExceeded, match="more than 78 generators divide x"):
+        check_koszul_lift(G, (), SyzygyWitness(8, 2, V, V))
 
 
 def test_necessary_matches_the_full_scan_on_every_sampler():
     # the edgeless and linear-quotients shortcuts must return exactly the
     # first witness of the full homology scan, in every field
-    from itertools import combinations
     from edgeideals.harness import _CLAIMS
     # the samplers repeat pairs (G, S): scan each pair once per field
     scans = {}
@@ -427,7 +522,6 @@ def test_exhaustive_engine_agreement_small():
     # the certificate engine and the homology engine must give the same
     # SCM verdict on every graph with up to five vertices; a divergence is
     # either a regression or a genuinely new small example worth a look
-    from itertools import combinations
     from edgeideals import (GF2, has_dual_linear_quotients,
                             is_componentwise_linear)
     for n in range(1, 6):
