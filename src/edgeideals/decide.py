@@ -17,7 +17,7 @@ from itertools import combinations
 
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, delete_vertices, RemainderClass, _bits, _classify_remainder,
-                     _edgeless, _mask_of, _minimal_cover_masks, _whiskered_adj)
+                     _edgeless, _independent_sets, _mask_of, _whiskered_adj)
 from .monomials import alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
@@ -352,11 +352,19 @@ def check_koszul_lift(G: Graph, S, w: SyzygyWitness, field: FieldSpec = GF2) -> 
         raise InputError("witness lift does not match S")
     if len(w.multidegree) == w.base_degree + w.index:
         return False
-    k_b = _koszul_facets(_minimal_cover_masks(G.adj, ((1 << G.n) - 1) & ~smask), w.base_degree, b)
+    k_b = _koszul_facets(_covers_upto(G.adj, ((1 << G.n) - 1) & ~smask, w.base_degree),
+                         w.base_degree, b)
     wadj = _whiskered_adj(G.adj, smask)
-    k_c = _koszul_facets(_minimal_cover_masks(wadj, (1 << len(wadj)) - 1), w.lifted_degree,
-                         b | smask)
+    k_c = _koszul_facets(_covers_upto(wadj, (1 << len(wadj)) - 1, w.lifted_degree),
+                         w.lifted_degree, b | smask)
     return k_b == k_c and _facet_ranks(k_b, field).get(w.index - 1, 0) > 0
+
+
+def _covers_upto(adj, active: int, d: int):
+    """Yield the minimal vertex covers of at most d vertices of the graph
+    on ``active``, lazily, so that ``_koszul_facets`` walks no cover past
+    its bound; larger covers are pruned unvisited."""
+    return (active ^ s for s in _independent_sets(adj, active, active.bit_count() - d, True))
 
 
 # ---------------------------------------------------------------------------

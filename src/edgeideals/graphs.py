@@ -360,11 +360,12 @@ def _classify_remainder(adj, rest: int) -> RemainderClass:
 # vertex covers
 
 
-def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False) -> list:
-    """Every independent subset of verts_mask of at least ``need`` vertices,
-    as masks: first those avoiding its lowest vertex, then those containing
-    it, recursively, pruning the branches that fall short.  With
-    ``maximal``, only the maximal ones.
+def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False):
+    """Yield every independent subset of verts_mask of at least ``need``
+    vertices, as masks: first those avoiding its lowest vertex, then those
+    containing it, recursively, pruning the branches that fall short.  With
+    ``maximal``, only the maximal ones.  The walk is lazy, so a caller that
+    stops early walks no further.
 
     One depth-first walk on an explicit stack.  A node is (candidates,
     need, waiting, taken): ``waiting`` holds the avoided vertices with no
@@ -377,8 +378,7 @@ def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False) -> lis
     out before its taking sets.
     """
     if verts_mask.bit_count() < need:
-        return []
-    out = []
+        return
     stack = [(verts_mask, need, 0, 0)]
     push = stack.append
     while stack:
@@ -417,8 +417,7 @@ def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False) -> lis
             verts = rest
             waiting |= low
         else:
-            out.append(taken)
-    return out
+            yield taken
 
 
 def _covers_by_size(adj, active: int, top: int) -> dict:

@@ -8,6 +8,9 @@ ranks; ``SimplicialComplex`` is the public type, built only by
 ``upper_koszul_complex`` and by callers.  GF(2) ranks run on bitmask
 columns; odd primes and the rationals share one fraction-free elimination
 on sparse columns, reduced mod p or divided by each column's gcd over Q.
+The linear-resolution scan ranks only the lattice points that can carry a
+Betti number off the linear strand (the purity lemma at
+``nonlinear_witness``).
 """
 
 from __future__ import annotations
@@ -254,16 +257,21 @@ def _boundary_rank(upper, lower, field: FieldSpec) -> int:
     if field.characteristic == 2:
         cols = []
         for m in upper:
-            c = 0
-            for v in _bits(m):
-                c |= 1 << index[m ^ (1 << v)]
+            c, rest = 0, m
+            while rest:
+                low = rest & -rest
+                c |= 1 << index[m ^ low]
+                rest ^= low
             cols.append(c)
         return _rank_gf2(cols)
     cols = []
     for m in upper:
-        col = {}
-        for j, v in enumerate(_bits(m)):
-            col[index[m ^ (1 << v)]] = -1 if j & 1 else 1
+        col, rest, sign = {}, m, 1
+        while rest:
+            low = rest & -rest
+            col[index[m ^ low]] = sign
+            rest ^= low
+            sign = -sign
         cols.append(col)
     if field.is_rational:
         return _rank_exact(cols)
@@ -354,12 +362,14 @@ class BettiTable:
         return out
 
 
-def _lcm_lattice(gens, spend=None) -> list:
-    """All unions of nonempty sets of the generator masks ``gens``,
-    deduplicated, by size and then lexicographically.  Ranks read no order,
-    but the first witness a scan meets here is the evidence it reports.
+def _lcm_lattice(gens, spend=None, least: int = 0) -> list:
+    """All unions of nonempty sets of the generator masks ``gens`` with at
+    least ``least`` elements, deduplicated, by size and then
+    lexicographically.  Ranks read no order, but the first witness a scan
+    meets here is the evidence it reports.
 
-    ``spend(k)``, when given, is charged k units as k new elements join.
+    ``spend(k)``, when given, is charged k units as k new elements join,
+    those later dropped for falling short of ``least`` included.
     """
     lattice = set()
     for g in gens:
@@ -368,14 +378,7 @@ def _lcm_lattice(gens, spend=None) -> list:
         lattice.add(g)
         if spend is not None:
             spend(len(lattice) - size)
-    return sorted(lattice, key=_order_key)
-
-
-def _lattice_ranks(gens, field: FieldSpec, spend=None):
-    """(b, reduced homology ranks of the upper Koszul complex at b) for
-    each point b of ``_lcm_lattice(gens, spend)``, in its order."""
-    for b in _lcm_lattice(gens, spend):
-        yield b, _facet_ranks(_koszul_complex(gens, b), field)
+    return sorted([b for b in lattice if b.bit_count() >= least], key=_order_key)
 
 
 def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
@@ -386,9 +389,9 @@ def betti_numbers(M: MonomialIdeal, field: FieldSpec = GF2) -> BettiTable:
     """
     entries = {}
     totals = {}
-    for b, ranks in _lattice_ranks(M.masks, field):
+    for b in _lcm_lattice(M.masks):
         size = b.bit_count()
-        for j, r in ranks.items():
+        for j, r in _facet_ranks(_koszul_complex(M.masks, b), field).items():
             if r:
                 i = j + 1
                 entries[(i, frozenset(_bits(b)))] = r
@@ -408,21 +411,62 @@ def betti_at(M: MonomialIdeal, b: Monomial, i: int, field: FieldSpec = GF2) -> i
 def nonlinear_witness(M: MonomialIdeal, field: FieldSpec = GF2, spend=None):
     """First (i, multidegree) with a Betti number off the linear strand.
 
-    Scans multidegrees by increasing size (then lexicographically) and
+    Scans the lcm lattice by increasing size (then lexicographically) and
     stops at the first witness; None when the resolution is linear.
     ``spend`` is charged one unit per lcm-lattice element built.
+
+    Lemma (purity; Miller-Sturmfels, Combinatorial Commutative Algebra,
+    2005, ch. 1): let M be generated in degree d and b a point of its lcm
+    lattice.  Each facet b minus g of the upper Koszul complex K^b has
+    |b| - d elements, so K^b is pure of dimension |b| - d - 1, and that top
+    dimension is the linear strand: beta_{i,b} = dim H~_{i-1}(K^b) lies on
+    it exactly when i - 1 = |b| - d - 1.  Hence:
+
+    - a point with |b| <= d + 1 carries no Betti number off the strand,
+      since K^b is the irrelevant complex {empty set} or a set of points,
+      whose only homology is in its top dimension;
+    - a point with |b| = d + 2 carries one exactly when the graph K^b is
+      disconnected, and then with index 1, over every field.
+
+    So the scan skips the points with |b| <= d + 1 (their lattice elements
+    are still built and charged), settles |b| = d + 2 by connectivity, and
+    computes ranks only from |b| = d + 3 on.  The order of the points kept
+    is unchanged, so the first witness is the same.
     """
     if M.is_zero:
         return None
     if not M.is_equigenerated:
         raise InputError("linear-resolution test needs an equigenerated ideal")
     d = M.min_degree
-    for b, ranks in _lattice_ranks(M.masks, field, spend):
+    gens = M.masks
+    for b in _lcm_lattice(gens, spend, d + 2):
+        facets = _koszul_complex(gens, b)
         size = b.bit_count()
+        # at |b| = d + 2 only H~_0 can lie off the strand
+        ranks = {0: not _connected(facets)} if size == d + 2 else _facet_ranks(facets, field)
         for j, r in ranks.items():
             if r and size != d + j + 1:
                 return (j + 1, frozenset(_bits(b)))
     return None
+
+
+def _connected(edges) -> bool:
+    """Whether the graph with the 2-element masks ``edges`` (at least one)
+    as its edges is connected on the union of its edges.  Each pass joins
+    the edges that meet the vertices reached so far, starting from the
+    first edge, and the walk stops at the first pass that joins none."""
+    reach, left = edges[0], edges
+    while left:
+        rest = []
+        for e in left:
+            if e & reach:
+                reach |= e
+            else:
+                rest.append(e)
+        if len(rest) == len(left):
+            return False
+        left = rest
+    return True
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,20 @@ class Monomial:
         return "Monomial(" + ",".join(self.names(_default_labels(self.mask.bit_length()))) + ")"
 
 
-def _order_key(mask: int) -> tuple:
+_FLIP = str.maketrans("01", "10")
+
+
+def _order_key(mask: int) -> str:
     """The canonical order of square-free monomials: by degree, then
-    lexicographically on sorted supports."""
-    return (mask.bit_count(), tuple(_bits(mask)))
+    lexicographically on sorted supports.
+
+    The key is one string: the degree as a character, then the bits from
+    the lowest up, each flipped.  For equal degrees, the lowest bit in
+    which two masks differ belongs to the one whose sorted support comes
+    first, and there its flipped bit reads 0.  Neither string is a proper
+    prefix of the other: the longer mask would then have more bits.
+    """
+    return chr(mask.bit_count()) + bin(mask)[:1:-1].translate(_FLIP)
 
 
 def _minimal_masks(masks) -> list:

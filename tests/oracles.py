@@ -15,7 +15,9 @@ enumeration and the benchmark's field pool are shared test inputs.  The
 chordality oracle is maximum-cardinality search with a perfect-elimination
 check, where the package eliminates simplicial vertices.  Ranks are dense
 Gaussian elimination with pivot inverses, over Fractions or mod p, where
-the package eliminates sparse columns fraction-free.
+the package eliminates sparse columns fraction-free; the full-scan witness
+oracle ranks every lcm-lattice point that way, where the package skips the
+points the purity lemma settles.
 """
 
 import random
@@ -412,8 +414,11 @@ def rank_by_dense_elimination(cols, p=None):
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
         inv = pow(mat[rank][j], p - 2, p) if p else 1 / mat[rank][j]
         for i in range(rank + 1, len(rows)):
+            if not mat[i][j]:
+                continue
             f = mat[i][j] * inv
-            mat[i] = [(a - f * b) % p if p else a - f * b for a, b in zip(mat[i], mat[rank])]
+            mat[i] = [a if not b else (a - f * b) % p if p else a - f * b
+                      for a, b in zip(mat[i], mat[rank])]
         rank += 1
     return rank
 
@@ -448,6 +453,31 @@ def reduced_homology_by_dense_elimination(facets, p=None):
             for k in range(1, top + 1)}
     return {j: len(faces[j + 1]) - rank.get(j + 1, 0) - rank.get(j + 2, 0)
             for j in range(-1, top)}
+
+
+def nonlinear_witness_by_full_scan(M, field):
+    """``homology.nonlinear_witness`` with no point skipped: every point b
+    of the lcm lattice, by size and then lexicographically on sorted
+    supports (a tuple key), ranked by dense elimination on the facets of
+    the upper Koszul complex at b; the first (i, b) off the linear strand,
+    or None."""
+    if M.is_zero:
+        return None
+    gens, d = M.masks, M.min_degree
+    lattice = set()
+    for g in gens:
+        lattice |= {x | g for x in lattice}
+        lattice.add(g)
+    supports = sorted((tuple(v for v in range(b.bit_length()) if b >> v & 1) for b in lattice),
+                      key=lambda t: (len(t), t))
+    for b in supports:
+        facets = [[v for v in b if not g >> v & 1] for g in gens
+                  if all(v in b for v in range(g.bit_length()) if g >> v & 1)]
+        ranks = reduced_homology_by_dense_elimination(facets, field.characteristic)
+        for j in sorted(ranks):
+            if ranks[j] and len(b) != d + j + 1:
+                return (j + 1, frozenset(b))
+    return None
 
 
 def hilbert_numerator_from_gens(M):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -304,6 +305,19 @@ def test_lift_check_is_bounded():
     V = frozenset(range(16))
     with pytest.raises(SearchBudgetExceeded, match="more than 78 generators divide x"):
         check_koszul_lift(G, (), SyzygyWitness(8, 2, V, V))
+
+
+def test_lift_check_stops_the_cover_walk_at_the_bound():
+    # a perfect matching on 40 vertices has 2^20 minimal covers; the walk
+    # is lazy, so the check raises after 20000 >> 20 = 0 facets, not after
+    # walking every cover
+    from edgeideals import SearchBudgetExceeded
+    G = Graph(40, [(2 * i, 2 * i + 1) for i in range(20)])
+    V = frozenset(range(40))
+    start = time.perf_counter()
+    with pytest.raises(SearchBudgetExceeded, match="more than 0 generators divide x"):
+        check_koszul_lift(G, (), SyzygyWitness(20, 2, V, V))
+    assert time.perf_counter() - start < 0.1
 
 
 def test_necessary_matches_the_full_scan_on_every_sampler():

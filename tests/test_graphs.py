@@ -329,7 +329,7 @@ def test_stack_walk_matches_the_recursive_walk_on_every_small_graph():
         for active in range(1 << G.n):
             for need in range(active.bit_count() + 2):
                 for maximal in (False, True):
-                    assert _independent_sets(G.adj, active, need, maximal) == list(
+                    assert list(_independent_sets(G.adj, active, need, maximal)) == list(
                         independent_sets_by_recursion(G.adj, active, need, maximal)), \
                         (G, active, need, maximal)
 
@@ -346,7 +346,7 @@ def test_stack_walk_matches_the_recursive_walk_on_random_graphs():
         active = (1 << G.n) - 1 if k % 2 else rng.getrandbits(G.n)
         need = rng.randint(0, active.bit_count() // 2 + 1) if k % 5 else 0
         for maximal in (False, True):
-            assert _independent_sets(G.adj, active, need, maximal) == list(
+            assert list(_independent_sets(G.adj, active, need, maximal)) == list(
                 independent_sets_by_recursion(G.adj, active, need, maximal)), \
                 (G, active, need, maximal)
 

@@ -11,7 +11,8 @@ from edgeideals import (GF2, GF3, QQ, FieldSpec, Graph, InputError, Monomial,
                         make_order, nonlinear_witness, reduced_homology_ranks,
                         squarefree_degree_component, upper_koszul_complex)
 from edgeideals.graphs import _bits, _mask_of
-from edgeideals.homology import _facet_ranks, _rank_exact, _rank_gf2, _rank_modp
+from edgeideals.homology import (_connected, _facet_ranks, _lcm_lattice, _rank_exact, _rank_gf2,
+                                _rank_modp)
 
 from oracles import (boundary_columns, component_count, faces_by_size,
                      hilbert_numerator_from_betti, hilbert_numerator_from_gens,
@@ -371,6 +372,85 @@ def test_nonlinear_witness_requires_equigenerated():
     I = MonomialIdeal.from_generators(3, [M([0]), M([1, 2])])
     with pytest.raises(InputError):
         nonlinear_witness(I, GF2)
+
+
+def _components(dual):
+    return [squarefree_degree_component(dual, d)
+            for d in range(dual.min_degree, dual.max_degree + 1)]
+
+
+def test_skip_matches_the_full_scan_on_the_pool():
+    # the purity skip (no ranks at |b| <= d + 1, connectivity at d + 2)
+    # meets the first witness of the unskipped scan with dense ranks.  The
+    # dense scan of all 118 components of the 34 pool-graph duals takes
+    # tens of seconds per field, so the 42 components whose lcm lattice
+    # has at most 150 points are checked here, 13 of them with a witness
+    from oracles import field_pool_graph, nonlinear_witness_by_full_scan
+    checked = refuted = 0
+    for i in range(34):
+        for comp in _components(alexander_dual_of_edge_ideal(field_pool_graph(i))):
+            if len(_lcm_lattice(comp.masks)) > 150:
+                continue
+            checked += 1
+            for field in (GF2, GF3, QQ):
+                w = nonlinear_witness(comp, field)
+                assert w == nonlinear_witness_by_full_scan(comp, field), (i, comp.masks, field)
+            refuted += w is not None
+    assert (checked, refuted) == (42, 13)
+
+
+def test_skip_matches_the_full_scan_on_whiskered_classes():
+    # a seeded share of the 544 whiskered 5-vertex (G, S) classes, taken in
+    # sorted order, every degree component in each field.  The first 600
+    # 6-vertex classes, which ROADMAP item 1 times, take seconds just to
+    # generate, so they were checked in full once, outside this suite
+    from oracles import nonlinear_witness_by_full_scan
+    from test_scan_classes import scan_classes
+    share = random.Random(5).sample(sorted(scan_classes.whiskered_duals(544, 5)), 60)
+    refuted = 0
+    for k, (_, _, dual) in enumerate(share):
+        for comp in _components(dual):
+            for field in (GF2, GF3, QQ):
+                w = nonlinear_witness(comp, field)
+                assert w == nonlinear_witness_by_full_scan(comp, field), (k, comp.masks, field)
+                refuted += w is not None
+    assert refuted == 9  # three components, each in every field
+
+
+def test_connectivity_matches_the_dense_h0():
+    # at |b| = d + 2 every facet of the upper Koszul complex is an edge, and
+    # b carries a nonlinear Betti number exactly when the complex has
+    # reduced H_0, in every field; families repeat edges and add edges
+    # apart from the rest
+    rng = random.Random(41)
+    disconnected = 0
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        edges = [_mask_of(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 8))]
+        edges += rng.choices(edges, k=rng.randint(0, 2))
+        if rng.random() < 0.3:
+            edges.append(0b11 << n)
+        rng.shuffle(edges)
+        want = {reduced_homology_by_dense_elimination([list(_bits(e)) for e in edges], p)[0]
+                for p in (2, 3, None)}
+        assert len(want) == 1
+        assert _connected(edges) == (want == {0}), edges
+        disconnected += want != {0}
+    assert 100 < disconnected < 300
+
+
+def test_witness_scan_charges_every_lattice_point():
+    # the skipped points are built all the same: one scan charges the size
+    # of the whole lcm lattice, as the order search's budget always read
+    from oracles import field_pool_graph
+    refuted = 0
+    for i in range(34):
+        for comp in _components(alexander_dual_of_edge_ideal(field_pool_graph(i))):
+            units = []
+            if nonlinear_witness(comp, GF2, units.append) is not None:
+                refuted += 1
+                assert sum(units) == len(_lcm_lattice(comp.masks)), (i, comp.masks)
+    assert refuted == 27
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,25 @@ def test_minimalize_examples():
     assert list(minimalize(3, anti).gens) == sorted(anti, key=lambda g: _order_key(g.mask))
 
 
+def test_order_key_orders_as_the_tuple_key():
+    # the string key sorts masks of mixed widths and sizes exactly as the
+    # key (degree, sorted support) did
+    rng = random.Random(13)
+    masks = {0}
+    for _ in range(4000):
+        width = rng.choice([1, 2, 5, 9, 16, 40, 130])
+        if rng.random() < 0.5:
+            masks.add(rng.getrandbits(width))
+        else:
+            masks.add(sum(1 << v for v in rng.sample(range(width), rng.randint(1, min(width, 4)))))
+    masks = list(masks)
+    rng.shuffle(masks)
+    want = sorted(masks, key=lambda m: (m.bit_count(), tuple(v for v in range(m.bit_length())
+                                                             if m >> v & 1)))
+    assert sorted(masks, key=_order_key) == want
+    assert len({_order_key(m) for m in masks}) == len(masks)
+
+
 def test_ideal_json_roundtrip():
     G = cycle_graph(5)
     dual = alexander_dual_of_edge_ideal(G)
