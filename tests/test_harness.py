@@ -117,6 +117,34 @@ def test_t41_conclusion_searches_each_graph_once_for_all_fields(monkeypatch):
     assert searched == sampling + [remainder, whiskered]
 
 
+def _draw_masks(draw):
+    """A sampler's draw as (n, adjacency tuple, S-mask), whether it names
+    its graph and S as masks or as a Graph and a vertex set."""
+    graph, s = draw
+    adj = tuple(getattr(graph, "adj", graph))
+    return len(adj), adj, s if isinstance(s, int) else sum(1 << v for v in s)
+
+
+def test_sampler_draws_pinned():
+    # 500 draws of each sampler at four sizes, then the next rng.random():
+    # the hash pins every draw and the rng calls each sampler makes
+    import hashlib
+    from edgeideals import harness
+    digest = hashlib.sha256()
+    for name in ("_sample_plain", "_sample_cover_biased", "_sample_near_all", "_sample_all",
+                 "_sample_five_cycle", "_sample_bad_cycle"):
+        sample = getattr(harness, name)
+        for max_n in (5, 7, 9, 12):
+            rng = random.Random(f"{name}-{max_n}")
+            for _ in range(500):
+                digest.update(json.dumps(_draw_masks(sample(rng, max_n))).encode())
+            digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == SAMPLER_DRAWS_SHA256
+
+
+SAMPLER_DRAWS_SHA256 = "0e259e4ed4fff10f19ca3e9aad269902fa0e2b99b7c72310f8e594110064c5f1"
+
+
 def test_all_induced_dlq_small():
     # a path: every induced subgraph is a forest
     assert all_induced_dlq(Graph(4, [(0, 1), (1, 2), (2, 3)]))
