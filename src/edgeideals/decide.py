@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import (Graph, delete_vertices, RemainderClass, _bits, _classify_remainder,
-                     _edgeless, _independent_sets, _mask_of, _whiskered_adj)
+from .graphs import (Graph, RemainderClass, _bits, _classify_remainder, _default_labels,
+                     _delete_adj, _edgeless, _independent_sets, _mask_of, _whiskered_adj)
 from .monomials import alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
@@ -147,37 +147,60 @@ def _decide(G: Graph, fields: tuple, S=None, *, cm=False,
     the theorem test, and the dual linear-quotients search.  Per field only
     ``_scan_open_degrees`` runs, and that field's result is built.
     """
-    H = G
     if S is not None:
         smask = G._check_vertices(S)
-        rest = ((1 << G.n) - 1) & ~smask
-        if _edgeless(G.adj, rest) or _classify_remainder(G.adj, rest) is not RemainderClass.OTHER:
-            return (None,) * len(fields)
-        H = delete_vertices(G, list(_bits(smask)))
-    if _edgeless(H.adj, (1 << H.n) - 1):
-        dual = alexander_dual_of_edge_ideal(H)
+        return _remainder_witnesses(_remainder_report(G.adj, smask, search_budget),
+                                    fields, G.n, smask)
+    if _edgeless(G.adj, (1 << G.n) - 1):
+        dual = alexander_dual_of_edge_ideal(G)
         scm = [Verdict("SCM", True, f, ZeroIdealConvention(), field_independent=True, dual=dual)
                for f in fields]
     else:
-        report = has_dual_linear_quotients(H, budget=search_budget, stop_at_failure=True)
-        if report.verdict is True:
-            evidence = QuotientCertificates(report.certificates())
-            scm = [Verdict("SCM", True, f, evidence, field_independent=True, dual=report.dual)
-                   for f in fields]
-        else:
-            scm = [_scan_verdict(report, f) for f in fields]
-    if S is not None:
-        keep, lift = list(_bits(rest)), frozenset(_bits(smask))
-
-        def lifted(w):
-            b = frozenset(keep[u] for u in w.multidegree)
-            return SyzygyWitness(w.degree, w.index, b, b | lift)
-        return tuple(None if v.value else lifted(v.evidence) for v in scm)
+        scm = _field_verdicts(
+            has_dual_linear_quotients(G, budget=search_budget, stop_at_failure=True), fields)
     if cm:
         return tuple(Verdict("CM", v.value and v.dual.is_equigenerated, v.field, v.evidence,
                              v.field_independent, v.dual.is_equigenerated, v.notes, v.dual)
                      for v in scm)
     return tuple(scm)
+
+
+def _remainder_report(adj: tuple, smask: int, search_budget=DEFAULT_SEARCH_BUDGET):
+    """The dlq report of the graph ``adj`` minus the vertices of ``smask``,
+    or None when the remainder is sequentially Cohen-Macaulay by a theorem
+    of ``necessary_scm``'s docstring; then nothing is built."""
+    rest = ((1 << len(adj)) - 1) & ~smask
+    if rest.bit_count() < 4 or _edgeless(adj, rest) or \
+            _classify_remainder(adj, rest) is not RemainderClass.OTHER:
+        return None
+    H = Graph._from_adj(_delete_adj(adj, smask), _default_labels(rest.bit_count()))
+    return has_dual_linear_quotients(H, budget=search_budget, stop_at_failure=True)
+
+
+def _field_verdicts(report, fields: tuple) -> list:
+    """The SCM verdict over each field of ``fields`` on the graph of the
+    dlq report ``report``."""
+    if report.verdict is True:
+        evidence = QuotientCertificates(report.certificates())
+        return [Verdict("SCM", True, f, evidence, field_independent=True, dual=report.dual)
+                for f in fields]
+    return [_scan_verdict(report, f) for f in fields]
+
+
+def _remainder_witnesses(report, fields: tuple, n: int, smask: int) -> tuple:
+    """The witness of ``necessary_scm`` over each field of ``fields`` for
+    the n-vertex graph minus the vertices of ``smask``, from the
+    remainder's dlq report ``report`` (None for a remainder settled by
+    theorem): None where the remainder is SCM, else the scan's witness
+    lifted to G's vertex indices and S."""
+    if report is None:
+        return (None,) * len(fields)
+    keep, lift = list(_bits(((1 << n) - 1) & ~smask)), frozenset(_bits(smask))
+
+    def lifted(w):
+        b = frozenset(keep[u] for u in w.multidegree)
+        return SyzygyWitness(w.degree, w.index, b, b | lift)
+    return tuple(None if v.value else lifted(v.evidence) for v in _field_verdicts(report, fields))
 
 
 def _scan_verdict(report, field: FieldSpec) -> Verdict:
@@ -309,7 +332,9 @@ def necessary_scm(G: Graph, S, field: FieldSpec = GF2) -> SyzygyWitness | None:
     ideal of H + x is that of H extended to R[x], and R[x]/I R[x] =
     (R/I)[x] is (sequentially) Cohen-Macaulay iff R/I is.  This test runs
     on the adjacency masks (``graphs._classify_remainder``) and builds no
-    graph, dual or search.
+    graph, dual or search.  A remainder of fewer than four vertices is
+    settled first, with no walk: it has no room for a cycle of length four
+    or more, so it is chordal.
 
     Otherwise, if the remainder's dual has linear quotients in every degree
     dmin..D, each component has a linear resolution over every field (the

@@ -280,14 +280,23 @@ def _elimination_order(adj, verts: int) -> list | None:
     """
     order = []
     while verts:
-        for v in _bits(verts):
-            nb = adj[v] & verts
-            if all(nb & ~adj[u] == 1 << u for u in _bits(nb)):
+        rest = verts
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            nb = m = adj[v] & verts
+            while m:  # v is simplicial when each neighbour u is adjacent to all of nb but u
+                u = m & -m
+                if nb & ~adj[u.bit_length() - 1] != u:
+                    break
+                m ^= u
+            else:
                 break
+            rest ^= low
         else:
             return None
         order.append(v)
-        verts ^= 1 << v
+        verts ^= low
     return order
 
 

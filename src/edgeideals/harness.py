@@ -4,6 +4,14 @@ Each campaign samples (graph, vertex subset) pairs satisfying a claim's
 hypothesis, evaluates the conclusion through the decision module, and
 reports failures with a shrunken counterexample.  Fixtures recompute the
 worked examples from scratch and diff them against their published data.
+
+A claim of ``_CLAIMS`` is (sampler, hypothesis, conclusion).  The sampler
+draws a pair as (adjacency tuple, S-mask).  The hypothesis reads that pair,
+builds no ``Graph`` unless it has a dual to search, and returns a truthy
+value when the pair is accepted.  Only the accepted pair is built as a
+``Graph`` G and a vertex set S, and the conclusion takes (G, S, fields,
+held), where ``held`` is the hypothesis's value: for T4.1 the remainder's
+dlq report, so that the remainder is searched once.
 """
 
 from __future__ import annotations
@@ -11,21 +19,21 @@ from __future__ import annotations
 import random
 from copy import deepcopy
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cache, partial
 from itertools import combinations
 from math import factorial
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
-                     cycle_graph, delete_vertices, format_graph, is_chordal,
-                     path_graph, _bits, _canonical, _default_labels, _delete_adj, _drop,
+from .graphs import (Graph, RemainderClass, add_whiskers, cycle_graph, delete_vertices,
+                     format_graph, path_graph, _bits, _canonical, _classify_remainder,
+                     _default_labels, _delete_adj, _drop, _edgeless, _elimination_order,
                      _induces_one_cycle, _mask_of, _whiskered_adj)
 from .monomials import MonomialIdeal, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, make_order,
                         verify_order, search_stats)
 from .homology import GF2, GF3, QQ, betti_numbers
 from .decide import (DEFAULT_SEARCH_BUDGET, check_koszul_lift, is_cm, is_sequentially_cm,
-                     necessary_scm, sufficient_scm, _decide)
+                     sufficient_scm, _decide, _remainder_report, _remainder_witnesses)
 
 __all__ = [
     "Campaign",
@@ -147,108 +155,123 @@ class Report:
 # samplers
 
 
-def _random_graph(rng: random.Random, n: int, p: float) -> Graph:
+@cache
+def _pairs(n: int) -> tuple:
+    return tuple(combinations(range(n), 2))
+
+
+def _random_adj(rng: random.Random, n: int, p: float) -> tuple:
+    """The adjacency tuple of a G(n, p) draw, one ``rng.random()`` per
+    vertex pair (u, v), u < v, in lexicographic order."""
     adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph._from_adj(tuple(adj), _default_labels(n))
+    rand = rng.random
+    for u, v in _pairs(n):
+        if rand() < p:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return tuple(adj)
 
 
-def _random_subset(rng: random.Random, n: int, p: float = 0.5) -> frozenset:
-    return frozenset(v for v in range(n) if rng.random() < p)
+def _random_subset(rng: random.Random, n: int, p: float = 0.5) -> int:
+    return _mask_of(v for v in range(n) if rng.random() < p)
 
 
-def _force_cycle(rng: random.Random, G: Graph, verts) -> Graph:
+def _force_cycle(rng: random.Random, adj: tuple, verts) -> tuple:
     """Overwrite the induced subgraph on ``verts`` with a random cycle."""
     vs = list(verts)
     rng.shuffle(vs)
     cyc = _mask_of(vs)
-    adj = [a & ~cyc if cyc >> v & 1 else a for v, a in enumerate(G.adj)]
+    adj = [a & ~cyc if cyc >> v & 1 else a for v, a in enumerate(adj)]
     for u, w in zip(vs, vs[1:] + vs[:1]):
         adj[u] |= 1 << w
         adj[w] |= 1 << u
-    return Graph._from_adj(tuple(adj), G.labels)
+    return tuple(adj)
 
 
 def _sampler(subset):
     """The sampler that draws n from 1..max_n, G from G(n, p) with p one of
-    EDGE_PROBABILITIES, and then S as ``subset(rng, n)``."""
+    EDGE_PROBABILITIES, and then the S-mask ``subset(rng, n)``."""
     def sample(rng, max_n):
         n = rng.randint(1, max_n)
-        return _random_graph(rng, n, rng.choice(EDGE_PROBABILITIES)), subset(rng, n)
+        return _random_adj(rng, n, rng.choice(EDGE_PROBABILITIES)), subset(rng, n)
     return sample
 
 
 _sample_plain = _sampler(_random_subset)
 _sample_cover_biased = _sampler(lambda rng, n: _random_subset(rng, n, p=0.7))
 _sample_near_all = _sampler(
-    lambda rng, n: frozenset(rng.sample(range(n), rng.randint(max(0, n - 3), n))))
-_sample_all = _sampler(lambda rng, n: frozenset(range(n)))
+    lambda rng, n: _mask_of(rng.sample(range(n), rng.randint(max(0, n - 3), n))))
+_sample_all = _sampler(lambda rng, n: (1 << n) - 1)
 
 
 def _sample_five_cycle(rng, max_n):
     n = rng.randint(5, max_n)
-    G = _random_graph(rng, n, rng.choice(EDGE_PROBABILITIES))
+    adj = _random_adj(rng, n, rng.choice(EDGE_PROBABILITIES))
     zs = rng.sample(range(n), 5)
-    G = _force_cycle(rng, G, zs)
+    adj = _force_cycle(rng, adj, zs)
     cyc = _mask_of(zs)
     rest = ((1 << n) - 1) & ~cyc
     if rest and rng.random() < 0.5:
         # one vertex off the cycle is cut from it and left out of S
         w = rng.choice(list(_bits(rest)))
-        adj = [a & ~(1 << w) if cyc >> v & 1 else a for v, a in enumerate(G.adj)]
+        adj = [a & ~(1 << w) if cyc >> v & 1 else a for v, a in enumerate(adj)]
         adj[w] &= ~cyc
-        G = Graph._from_adj(tuple(adj), G.labels)
+        adj = tuple(adj)
         rest ^= 1 << w
-    return G, frozenset(_bits(rest))
+    return adj, rest
 
 
 def _sample_bad_cycle(rng, max_n):
     length = rng.choice([c for c in (4, 6, 7) if c <= max_n])
     n = rng.randint(length, max_n)
-    G = _random_graph(rng, n, rng.choice(EDGE_PROBABILITIES))
+    adj = _random_adj(rng, n, rng.choice(EDGE_PROBABILITIES))
     zs = rng.sample(range(n), length)
-    G = _force_cycle(rng, G, zs)
-    return G, frozenset(range(n)) - frozenset(zs)
+    return _force_cycle(rng, adj, zs), ((1 << n) - 1) & ~_mask_of(zs)
 
 
 # ---------------------------------------------------------------------------
 # hypotheses and conclusions
 
 
-def _hyp_chordal_remainder(G, S):
-    return is_chordal(delete_vertices(G, S)).chordal
+def _rest(adj: tuple, smask: int) -> int:
+    return ((1 << len(adj)) - 1) & ~smask
 
 
-def _hyp_five_cycle(G, S):
-    return classify_remainder(G, S) is RemainderClass.FIVE_CYCLE
+def _hyp_chordal_remainder(adj, smask):
+    return _elimination_order(adj, _rest(adj, smask)) is not None
 
 
-def _hyp_vertex_cover(G, S):
-    return all(u in S or v in S for u, v in G.edges())
+def _hyp_five_cycle(adj, smask):
+    return _classify_remainder(adj, _rest(adj, smask)) is RemainderClass.FIVE_CYCLE
 
 
-def _hyp_near_all(G, S):
-    return len(S) >= G.n - 3
+def _hyp_vertex_cover(adj, smask):
+    return _edgeless(adj, _rest(adj, smask))
 
 
-def _hyp_all(G, S):
-    return len(S) == G.n
+def _hyp_near_all(adj, smask):
+    return len(adj) - smask.bit_count() <= 3
 
 
-def _hyp_not_scm_remainder(G, S):
-    return necessary_scm(G, S) is not None
+def _hyp_all(adj, smask):
+    return smask == (1 << len(adj)) - 1
 
 
-def _hyp_bad_cycle(G, S):
-    rest = ((1 << G.n) - 1) & ~G._check_vertices(S)
-    return rest.bit_count() in (4, 6, 7) and _induces_one_cycle(G.adj, rest)
+def _hyp_not_scm_remainder(adj, smask):
+    """The dlq report of the remainder when it has a GF(2) witness, else
+    None.  A remainder that ``decide._remainder_report`` settles by theorem
+    builds nothing."""
+    report = _remainder_report(adj, smask)
+    if report is not None and _remainder_witnesses(report, (GF2,), len(adj), smask)[0]:
+        return report
 
 
-def _concl_whiskered(G, S, fields, expect=True, cm=False):
+def _hyp_bad_cycle(adj, smask):
+    rest = _rest(adj, smask)
+    return rest.bit_count() in (4, 6, 7) and _induces_one_cycle(adj, rest)
+
+
+def _concl_whiskered(G, S, fields, held, expect=True, cm=False):
     """Is the whiskered graph SCM (CM with ``cm``) over each field exactly
     when ``expect``?"""
     kind = "CM" if cm else "SCM"
@@ -259,26 +282,29 @@ def _concl_whiskered(G, S, fields, expect=True, cm=False):
     return True, f"whiskered graph {kind if expect else 'not ' + kind} as expected"
 
 
-def _concl_cover(G, S, fields):
+def _concl_cover(G, S, fields, held):
     hit = sufficient_scm(G, S)
     if hit is None or hit.rule != "vertex-cover":
         return False, "vertex-cover sufficient condition did not fire"
-    return _concl_whiskered(G, S, fields)
+    return _concl_whiskered(G, S, fields, held)
 
 
-def _concl_near_all(G, S, fields):
+def _concl_near_all(G, S, fields, held):
     if sufficient_scm(G, S) is None:
         return False, "no sufficient condition fired despite the size bound"
-    return _concl_whiskered(G, S, fields)
+    return _concl_whiskered(G, S, fields, held)
 
 
-def _concl_lift(G, S, fields):
-    for f, w in zip(fields, _decide(G, fields, S)):
+def _concl_lift(G, S, fields, report):
+    """Does the remainder's witness over each field, scanned on the dlq
+    report ``report`` that the hypothesis kept, lift, and is the whiskered
+    graph not SCM?"""
+    for f, w in zip(fields, _remainder_witnesses(report, fields, G.n, G._check_vertices(S))):
         if w is None:
             return False, f"remainder witness vanished over field {f}"
         if not check_koszul_lift(G, S, w, f):
             return False, f"Koszul lift check failed over field {f}"
-    return _concl_whiskered(G, S, fields, expect=False)
+    return _concl_whiskered(G, S, fields, report, expect=False)
 
 
 _CLAIMS = {
@@ -309,7 +335,8 @@ def _shrink(hypothesis, conclusion, G, S, fields):
             H = delete_vertices(G, [v])
             S2 = frozenset((w - 1 if w > v else w) for w in S if w != v)
             try:
-                if hypothesis(H, S2) and not conclusion(H, S2, fields)[0]:
+                held = hypothesis(H.adj, _mask_of(S2))
+                if held and not conclusion(H, S2, fields, held)[0]:
                     G, S = H, S2
                     improved = True
                     break
@@ -342,23 +369,23 @@ def run_campaign(campaign: Campaign) -> Report:
         report = Report(campaign, CLAIM_STATEMENTS[campaign.theorem])
         for t in range(campaign.trials):
             rng = _trial_rng(campaign, t)
-            pair = None
             for _ in range(ATTEMPT_CAP):
-                G, S = sampler(rng, campaign.max_n)
-                if hypothesis(G, S):
-                    pair = (G, S)
+                adj, smask = sampler(rng, campaign.max_n)
+                held = hypothesis(adj, smask)
+                if held:
                     break
-            if pair is None:
+            else:
                 report.skipped += 1
                 continue
-            G, S = pair
-            ok, detail = conclusion(G, S, campaign.fields)
+            G, S = Graph._from_adj(adj, _default_labels(len(adj))), frozenset(_bits(smask))
+            ok, detail = conclusion(G, S, campaign.fields, held)
             if ok:
                 report.passed += 1
             else:
                 report.failed += 1
                 G2, S2 = _shrink(hypothesis, conclusion, G, S, campaign.fields)
-                detail2 = conclusion(G2, S2, campaign.fields)[1]
+                held = hypothesis(G2.adj, _mask_of(S2))
+                detail2 = conclusion(G2, S2, campaign.fields, held)[1]
                 report.failures.append(_counterexample(campaign.theorem, t, detail2, G2, S2))
     report.order_search_stats = {k: search_stats[k] - stats_before.get(k, 0)
                                  for k in search_stats}

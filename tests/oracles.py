@@ -17,7 +17,10 @@ check, where the package eliminates simplicial vertices.  Ranks are dense
 Gaussian elimination with pivot inverses, over Fractions or mod p, where
 the package eliminates sparse columns fraction-free; the full-scan witness
 oracle ranks every lcm-lattice point that way, where the package skips the
-points the purity lemma settles.
+points the purity lemma settles.  The campaign hypotheses on Graphs and
+vertex sets are the reference for the mask hypotheses the samplers' draws
+are tested with, and the simplicial-elimination scan with ``all`` over
+each neighbourhood is the reference for the bit walk.
 """
 
 import random
@@ -25,8 +28,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
-from edgeideals.decide import SyzygyWitness
-from edgeideals.graphs import Graph, add_whiskers, delete_vertices, induced_subgraph
+from edgeideals.decide import SyzygyWitness, necessary_scm
+from edgeideals.graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
+                              delete_vertices, induced_subgraph, is_chordal)
 from edgeideals.homology import _koszul_complex, is_componentwise_linear
 from edgeideals.monomials import (Monomial, MonomialIdeal, alexander_dual_of_edge_ideal,
                                   squarefree_degree_component)
@@ -90,6 +94,14 @@ def every_labelled_graph(max_n):
         slots = list(combinations(range(n), 2))
         for bits in range(1 << len(slots)):
             yield Graph(n, [slots[i] for i in range(len(slots)) if bits >> i & 1])
+
+
+def graph_pair(adj, smask):
+    """A campaign sampler's draw (adjacency tuple, S-mask) as the Graph
+    with the default labels and the vertex set S."""
+    n = len(adj)
+    return (Graph(n, [(u, v) for u, v in combinations(range(n), 2) if adj[u] >> v & 1]),
+            frozenset(v for v in range(n) if smask >> v & 1))
 
 
 def independent_sets_by_recursion(adj, verts_mask, need=0, maximal=False, waiting=0):
@@ -505,3 +517,33 @@ def hilbert_numerator_from_betti(table):
         sign = 1 if i & 1 else -1
         out[j] = out.get(j, 0) + sign * r
     return {k: v for k, v in out.items() if v}
+
+
+def elimination_order_by_scan(adj, verts):
+    """``graphs._elimination_order`` as a scan: the lowest vertex whose
+    remaining neighbours are pairwise adjacent, tested with ``all`` over
+    each of them, is eliminated until none is left or none qualifies."""
+    order = []
+    while verts:
+        for v in (u for u in range(len(adj)) if verts >> u & 1):
+            nb = adj[v] & verts
+            if all(nb & ~adj[u] == 1 << u for u in range(len(adj)) if nb >> u & 1):
+                break
+        else:
+            return None
+        order.append(v)
+        verts ^= 1 << v
+    return order
+
+
+# each campaign claim's hypothesis on a Graph G and a vertex set S
+HYPOTHESES_ON_GRAPHS = {
+    "T3.2": lambda G, S: is_chordal(delete_vertices(G, S)).chordal,
+    "T3.3": lambda G, S: classify_remainder(G, S) is RemainderClass.FIVE_CYCLE,
+    "T4.1": lambda G, S: necessary_scm(G, S) is not None,
+    "C3.4": lambda G, S: all(u in S or v in S for u, v in G.edges()),
+    "C3.5": lambda G, S: len(S) >= G.n - 3,
+    "C3.6": lambda G, S: len(S) == G.n,
+    "C4.2": lambda G, S: (G.n - len(S) in (4, 6, 7)
+                          and induces_one_cycle_by_union_find(G, set(range(G.n)) - S)),
+}

@@ -15,8 +15,8 @@ from edgeideals.decide import (DEFAULT_SEARCH_BUDGET, BettiWitness, Componentwis
                                QuotientCertificates, SyzygyWitness, ZeroIdealConvention)
 from edgeideals.monomials import Monomial
 
-from oracles import (every_labelled_graph, field_pool_graph, koszul_lift_by_components,
-                     necessary_scm_by_full_scan)
+from oracles import (every_labelled_graph, field_pool_graph, graph_pair,
+                     koszul_lift_by_components, necessary_scm_by_full_scan)
 
 
 def random_graph(rng, n, p):
@@ -247,7 +247,7 @@ def test_lift_matches_the_component_oracle():
     # five vertices, and both kinds of tampered witness, in three fields
     from edgeideals.harness import _sample_plain
     rng = random.Random(2026)
-    pairs = [_sample_plain(rng, 7) for _ in range(3000)]
+    pairs = [graph_pair(*_sample_plain(rng, 7)) for _ in range(3000)]
     pairs += [(G, S) for G in every_labelled_graph(5)
               for k in range(G.n + 1) for S in combinations(range(G.n), k)]
     held = refused = 0
@@ -336,7 +336,7 @@ def test_necessary_matches_the_full_scan_on_every_sampler():
     for k, (claim, (sampler, _, _)) in enumerate(sorted(_CLAIMS.items())):
         rng = random.Random(7000 + k)
         for _ in range(300):
-            G, S = sampler(rng, 7)
+            G, S = graph_pair(*sampler(rng, 7))
             for f in (GF2, GF3, QQ):
                 w = necessary_scm(G, S, f)
                 assert w == full_scan(G, S, f), (claim, G, S, f)
@@ -377,7 +377,7 @@ def test_necessary_builds_nothing_for_a_chordal_or_five_cycle_remainder(monkeypa
     for module, name in ((edgeideals.decide, "alexander_dual_of_edge_ideal"),
                          (edgeideals.quotients, "alexander_dual_of_edge_ideal"),
                          (edgeideals.decide, "has_dual_linear_quotients"),
-                         (edgeideals.decide, "delete_vertices")):
+                         (edgeideals.decide, "_delete_adj")):
         monkeypatch.setattr(module, name, refuse)
     c5_tail = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (4, 5), (5, 6)])
     k4_tail = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
@@ -408,12 +408,12 @@ def test_one_search_per_graph_gives_every_field_its_single_field_result():
     fields = (GF2, GF3, QQ)
     sampler, hypothesis, _ = _CLAIMS["T4.1"]
     rng = random.Random(41)
-    pairs = [sampler(rng, 7) for _ in range(40)]
+    pairs = [graph_pair(*sampler(rng, 7)) for _ in range(40)]
     failing = []
     while len(failing) < 12:
-        G, S = sampler(rng, 7)
-        if hypothesis(G, S):
-            failing.append((G, S))
+        adj, smask = sampler(rng, 7)
+        if hypothesis(adj, smask):
+            failing.append(graph_pair(adj, smask))
     pairs += failing
     for G, S in pairs:
         assert _decide(G, fields, S) == tuple(necessary_scm(G, S, f) for f in fields), (G, S)
@@ -630,7 +630,7 @@ def _lemma_cases():
     for sample in (_sample_plain, _sample_cover_biased, _sample_near_all, _sample_all,
                    _sample_five_cycle, _sample_bad_cycle):
         for _ in range(10):
-            G, S = sample(rng, 7)
+            G, S = graph_pair(*sample(rng, 7))
             graphs += [H for H in (G, add_whiskers(G, S)[0]) if H.n <= 10]
     for _ in range(30):
         n = rng.randint(4, 8)

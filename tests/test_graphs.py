@@ -9,12 +9,13 @@ from edgeideals import (Graph, InputError, RemainderClass, add_whiskers,
                         minimal_vertex_covers, parse_graph, path_graph,
                         vertex_covers_of_size)
 
-from edgeideals.graphs import (_bits, _covers_by_size, _independent_sets, _induces_one_cycle,
-                               _mask_of, _minimal_cover_masks)
+from edgeideals.graphs import (_bits, _covers_by_size, _elimination_order, _independent_sets,
+                               _induces_one_cycle, _mask_of, _minimal_cover_masks)
 from edgeideals.monomials import _order_key, alexander_dual_of_edge_ideal
 
 from oracles import (brute_covers, brute_minimal_covers, classify_by_mcs,
-                     every_labelled_graph, independent_sets_by_recursion,
+                     elimination_order_by_scan, every_labelled_graph, graph_pair,
+                     independent_sets_by_recursion,
                      induces_one_cycle_by_union_find, is_chordal_by_mcs, peo_violation)
 
 
@@ -178,6 +179,25 @@ def test_chordality_certificates_self_validate():
             assert _cycle_is_chordless(G, res.chordless_cycle)
 
 
+def test_elimination_bit_walk_matches_the_scan():
+    # the same order, or None, as the scan with all() over each
+    # neighbourhood: every labelled graph on <= 5 vertices under every
+    # vertex mask, and 20 000 seeded G(7, p) draws under a random mask each
+    for G in every_labelled_graph(5):
+        for verts in range(1 << G.n):
+            assert _elimination_order(G.adj, verts) == \
+                elimination_order_by_scan(G.adj, verts), (G, verts)
+    rng = random.Random(7707)
+    chordal = 0
+    for _ in range(20_000):
+        G = random_graph(rng, 7, rng.choice([0.2, 0.4, 0.6]))
+        verts = rng.getrandbits(7)
+        order = _elimination_order(G.adj, verts)
+        assert order == elimination_order_by_scan(G.adj, verts), (G, verts)
+        chordal += order is not None
+    assert 0 < chordal < 20_000
+
+
 def test_elimination_kernel_matches_the_mcs_oracle():
     # every labelled graph on <= 5 vertices with every S of <= 4 vertices,
     # and draws of every campaign sampler
@@ -186,7 +206,7 @@ def test_elimination_kernel_matches_the_mcs_oracle():
              for s in range(1 << G.n) if s.bit_count() <= 4]
     for k, (sampler, _, _) in enumerate(_CLAIMS.values()):
         rng = random.Random(900 + k)
-        pairs += [sampler(rng, 7) for _ in range(100)]
+        pairs += [graph_pair(*sampler(rng, 7)) for _ in range(100)]
     # the oracle runs once per distinct remainder, on the rebuilt graph
     oracle = {}
     for G, S in pairs:

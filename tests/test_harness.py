@@ -10,9 +10,10 @@ from edgeideals import (Campaign, Graph, InputError, all_induced_dlq,
                         has_dual_linear_quotients, run_campaign, run_fixture,
                         CLAIM_STATEMENTS, FIXTURE_IDS)
 from edgeideals.graphs import _canonical
-from edgeideals.harness import _classes, _random_graph, _random_subset, _shrink
-from oracles import (all_induced_dlq_labelled, burnside_class_count,
-                     canonical_by_all_relabellings, tip_induced_dlq_by_enumeration)
+from edgeideals.harness import _classes, _random_adj, _random_subset, _shrink
+from oracles import (HYPOTHESES_ON_GRAPHS, all_induced_dlq_labelled, burnside_class_count,
+                     canonical_by_all_relabellings, graph_pair, necessary_scm_by_full_scan,
+                     tip_induced_dlq_by_enumeration)
 
 
 @pytest.mark.parametrize("fixture_id", FIXTURE_IDS)
@@ -59,7 +60,7 @@ def test_counterexample_reruns_a_cm_claim_with_is_cm(monkeypatch):
     import edgeideals.harness
     sampler, hypothesis, _ = edgeideals.harness._CLAIMS["C3.6"]
     monkeypatch.setitem(edgeideals.harness._CLAIMS, "C3.6",
-                        (sampler, hypothesis, lambda G, S, fields: (False, "forced")))
+                        (sampler, hypothesis, lambda G, S, fields, held: (False, "forced")))
     report = run_campaign(Campaign("C3.6", trials=1, max_n=4, seed=1))
     assert report.failed == 1
     assert report.failures[0]["rerun"].startswith("edgeideals is-cm GRAPH_FILE")
@@ -107,14 +108,73 @@ def test_t41_conclusion_searches_each_graph_once_for_all_fields(monkeypatch):
     sampler, hypothesis, _ = _CLAIMS["T4.1"]
     rng = _trial_rng(campaign, 0)
     while True:
-        G, S = sampler(rng, campaign.max_n)
-        if hypothesis(G, S):
+        adj, smask = sampler(rng, campaign.max_n)
+        if hypothesis(adj, smask):
             break
+    G, S = graph_pair(adj, smask)
     sampling = searched[:]
     searched.clear()
     assert run_campaign(campaign).passed == 1
-    remainder, whiskered = delete_vertices(G, S).adj, add_whiskers(G, S)[0].adj
-    assert searched == sampling + [remainder, whiskered]
+    # the hypothesis searched the remainder last and kept its report, so
+    # the conclusion searches only the whiskered graph
+    assert sampling[-1] == delete_vertices(G, S).adj
+    assert searched == sampling + [add_whiskers(G, S)[0].adj]
+
+
+def test_t41_rejected_draws_build_nothing(monkeypatch):
+    # a 30-trial T4.1 campaign: no sampler call builds a Graph or an ideal,
+    # a hypothesis builds only when it reaches the dual search, and each
+    # accepted pair is built once, as one Graph, before its conclusion
+    import edgeideals.decide
+    import edgeideals.harness
+    from edgeideals import GF2, GF3, QQ, MonomialIdeal
+    built = []
+    searched = []
+
+    def counted(name, method):
+        real = getattr(method, "__func__", method)
+
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for cls, name, wrap in ((Graph, "__init__", None), (Graph, "_from_adj", classmethod),
+                            (MonomialIdeal, "_from_canonical", classmethod)):
+        method = counted(f"{cls.__name__}.{name}", getattr(cls, name))
+        monkeypatch.setattr(cls, name, wrap(method) if wrap else method)
+    real_search = edgeideals.decide.has_dual_linear_quotients
+    monkeypatch.setattr(edgeideals.decide, "has_dual_linear_quotients",
+                        lambda G, **kw: searched.append(G.adj) or real_search(G, **kw))
+    sampler, hypothesis, conclusion = edgeideals.harness._CLAIMS["T4.1"]
+    draws = []  # per draw: (built by the sampler, built by the hypothesis, searched)
+    marks = {}
+
+    def count_sampler(*args):
+        marks["draw"] = len(built)
+        return sampler(*args)
+
+    def count_hypothesis(*args):
+        mark, searches = len(built), len(searched)
+        held = hypothesis(*args)
+        draws.append((built[marks["draw"]:mark], built[mark:], len(searched) > searches))
+        marks["accepted"] = len(built)
+        return held
+
+    def count_conclusion(*args):
+        accepted.append(built[marks["accepted"]:])
+        return conclusion(*args)
+
+    accepted = []  # per accepted pair: built after its hypothesis, before its conclusion
+    monkeypatch.setitem(edgeideals.harness._CLAIMS, "T4.1",
+                        (count_sampler, count_hypothesis, count_conclusion))
+    report = run_campaign(Campaign("T4.1", trials=30, seed=2026, fields=(GF2, GF3, QQ)))
+    assert report.passed == 30
+    assert all(by_sampler == [] for by_sampler, _, _ in draws)
+    assert all(by_hypothesis == [] for _, by_hypothesis, reached in draws if not reached)
+    assert accepted == [["Graph._from_adj"]] * 30
+    reached = sum(reached for _, _, reached in draws)
+    assert 30 <= reached < len(draws) // 10
 
 
 def _draw_masks(draw):
@@ -143,6 +203,47 @@ def test_sampler_draws_pinned():
 
 
 SAMPLER_DRAWS_SHA256 = "0e259e4ed4fff10f19ca3e9aad269902fa0e2b99b7c72310f8e594110064c5f1"
+
+
+@pytest.mark.parametrize("claim", sorted(HYPOTHESES_ON_GRAPHS))
+def test_mask_hypothesis_matches_the_graph_hypothesis(claim):
+    # 3 000 draws of the claim's own sampler, read on masks and on the
+    # Graph and vertex set built from them
+    from edgeideals.harness import _CLAIMS
+    sampler, hypothesis, _ = _CLAIMS[claim]
+    oracle = HYPOTHESES_ON_GRAPHS[claim]
+    rng = random.Random(f"hypothesis-{claim}")
+    held = 0
+    for _ in range(3000):
+        adj, smask = sampler(rng, 7)
+        got = bool(hypothesis(adj, smask))
+        assert got == oracle(*graph_pair(adj, smask)), (claim, adj, smask)
+        held += got
+    assert 0 < held
+
+
+def test_t41_hypothesis_matches_on_every_small_pair():
+    # all 33 867 labelled (G, S) with at most five vertices; a kept report
+    # is the remainder's, whose GF(2) scan finds a witness, which the full
+    # homology scan of the remainder's dual confirms
+    from edgeideals import GF2
+    from edgeideals.harness import _CLAIMS
+    _, hypothesis, _ = _CLAIMS["T4.1"]
+    oracle = HYPOTHESES_ON_GRAPHS["T4.1"]
+    scans = {}
+    pairs = held = 0
+    for G, S in _every_labelled_pair(5):
+        pairs += 1
+        report = hypothesis(G.adj, G._check_vertices(S))
+        assert bool(report) == oracle(G, S), (G, S)
+        H = delete_vertices(G, sorted(S))
+        if H.adj not in scans:
+            scans[H.adj] = necessary_scm_by_full_scan(H, frozenset(), GF2) is not None
+        assert bool(report) == scans[H.adj], (G, S)
+        if report:
+            assert report.graph.adj == H.adj
+            held += 1
+    assert pairs == 33_867 and held > 0
 
 
 def test_all_induced_dlq_small():
@@ -187,7 +288,7 @@ def test_whiskered_side_matches_the_enumeration():
     seen = set()
     for _ in range(60):
         n = rng.randint(3, 6)
-        G = _random_graph(rng, n, 0.5)
+        G = graph_pair(_random_adj(rng, n, 0.5), 0)[0]
         S = frozenset(v for v in range(n) if rng.random() < 0.3)
         got = all_induced_dlq(G, memo, S=S)
         assert got == tip_induced_dlq_by_enumeration(G, S), (G, S)
@@ -198,16 +299,16 @@ def test_whiskered_side_matches_the_enumeration():
 def test_shrink_produces_minimal_failure():
     # synthetic claim: "every graph has fewer than three vertices"; shrinking
     # a large failure must land on exactly three
-    def hyp(G, S):
+    def hyp(adj, smask):
         return True
 
-    def concl(G, S, fields):
+    def concl(G, S, fields, held):
         return (G.n < 3, "too big")
 
     G = cycle_graph(6)
     S = frozenset({0, 1})
     G2, S2 = _shrink(hyp, concl, G, S, ())
-    assert G2.n == 3 and not concl(G2, S2, ())[0]
+    assert G2.n == 3 and not concl(G2, S2, (), True)[0]
 
 
 def test_graph_key_reindexes():
@@ -218,10 +319,10 @@ def test_graph_key_reindexes():
 
 
 def test_shrink_skips_input_errors_but_propagates_defects():
-    def hyp(G, S):
+    def hyp(adj, smask):
         return True
 
-    def concl_input_error(G, S, fields):
+    def concl_input_error(G, S, fields, held):
         if G.n < 6:
             raise InputError("not decidable here")
         return (False, "fails")
@@ -230,7 +331,7 @@ def test_shrink_skips_input_errors_but_propagates_defects():
     G2, _ = _shrink(hyp, concl_input_error, G, frozenset(), ())
     assert G2 is G  # every deletion raised InputError and was skipped
 
-    def concl_defect(G, S, fields):
+    def concl_defect(G, S, fields, held):
         if G.n < 6:
             raise RuntimeError("defect while shrinking")
         return (False, "fails")
@@ -278,7 +379,7 @@ def _every_labelled_pair(max_n):
 
 
 def _random_pair(rng, n):
-    return _random_graph(rng, n, rng.choice([0.2, 0.4, 0.6])), _random_subset(rng, n)
+    return graph_pair(_random_adj(rng, n, rng.choice([0.2, 0.4, 0.6])), _random_subset(rng, n))
 
 
 def _relabel(G, S, perm):
