@@ -18,7 +18,7 @@ from itertools import combinations
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, _bits, _classify_remainder, _default_labels,
                      _delete_adj, _edgeless, _independent_sets, _mask_of, _whiskered_adj)
-from .monomials import alexander_dual_of_edge_ideal, squarefree_degree_component
+from .monomials import _component_masks, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
                        _componentwise_scan, _facet_ranks)
@@ -414,16 +414,22 @@ def _check_certificate(G: Graph, dual, data, d=None):
 
     It must order the degree-d component of the dual (without d, the
     component of its own degree, or the whole dual when its generators'
-    degrees differ) and pass ``verify_order``.
+    degrees differ) and pass ``verify_order``.  Its generators are
+    compared with the component as sets of masks, and the component is
+    built only up to the certificate's size
+    (``monomials._component_masks``): one that is provably larger is
+    refused with the rest unbuilt.
     """
     if _object(data, "certificate").get("vars") != list(G.labels):
         return False, "certificate variables do not match the graph's labels"
     q = QuotientOrder.from_json(data)
     if d is None:
         d = q.degree
-    ref = (dual if d is None else squarefree_degree_component(dual, d)).masks
-    # from_json refused repeated generators, so equal sets of equal size match
-    if len(q.gens) != len(ref) or set(q.gens) != set(ref):
+    ref = (set(dual.masks) if d is None
+           else _component_masks(dual.masks, dual.ambient, d, len(q.gens)))
+    # from_json refused repeated generators, so the sets match exactly when
+    # the steps order the component; None, a larger component, matches none
+    if ref != set(q.gens):
         return False, "certificate generators do not match the graph's dual component"
     ok = verify_order(q)
     return ok, "linear quotients verified" if ok else "colon steps do not verify"

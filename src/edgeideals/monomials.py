@@ -12,9 +12,10 @@ access, for the public API, ``to_json`` and ``repr``.  The library reads
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb, inf
 
 from .errors import InputError
-from .graphs import Graph, _bits, _default_labels, _mask_of, _minimal_cover_masks
+from .graphs import Graph, _bits, _default_labels, _minimal_cover_masks
 
 __all__ = [
     "Monomial",
@@ -230,17 +231,36 @@ def alexander_dual_of_edge_ideal(G: Graph) -> MonomialIdeal:
     return MonomialIdeal._from_canonical(G.n, _minimal_cover_masks(G.adj, (1 << G.n) - 1))
 
 
+def _component_masks(masks, ambient: int, d: int, limit=inf):
+    """The set of masks of the square-free degree-d monomials in the ideal
+    generated by ``masks`` over ``ambient`` variables: each generator g of
+    degree at most d, and g times every d - |g| variables outside it.
+
+    None, with the rest unbuilt, as soon as the set provably has more
+    than ``limit`` members: once the part built so far has, or once one
+    generator g alone has more, since its comb(ambient - |g|, d - |g|)
+    extensions are pairwise distinct.  Both are checked before each
+    generator is enumerated, and the first again at the end.  The
+    extensions add g to sums of the bit values outside it.
+    """
+    bits = [1 << v for v in range(ambient)]
+    out = set()
+    for g in masks:
+        k = d - g.bit_count()
+        if k >= 0:
+            if len(out) > limit or comb(ambient - g.bit_count(), k) > limit:
+                return None
+            if k:
+                free = [b for b in bits if not g & b]
+                out.update(map(g.__or__, map(sum, combinations(free, k))))
+            else:
+                out.add(g)
+    return out if len(out) <= limit else None
+
+
 def squarefree_degree_component(I: MonomialIdeal, d: int) -> MonomialIdeal:
     """Ideal generated by all square-free degree-d monomials lying in I."""
     if d < 0:
         raise InputError("degree must be nonnegative")
-    masks = set()
-    full = (1 << I.ambient) - 1
-    for g in I.masks:
-        k = d - g.bit_count()
-        if k < 0:
-            continue
-        others = list(_bits(full & ~g))
-        for extra in combinations(others, k):
-            masks.add(g | _mask_of(extra))
-    return MonomialIdeal._from_canonical(I.ambient, sorted(masks, key=_order_key))
+    return MonomialIdeal._from_canonical(
+        I.ambient, sorted(_component_masks(I.masks, I.ambient, d), key=_order_key))

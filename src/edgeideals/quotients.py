@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import comb
 
 from .errors import InputError, SearchBudgetExceeded
-from .graphs import Graph, _bits, _covers_by_size, _default_labels, _mask_of
+from .graphs import Graph, _bits, _covers_by_size, _default_labels
 from .homology import GF2, BettiTable, BettiWitness, nonlinear_witness
 from .monomials import MonomialIdeal, _minimal_masks, alexander_dual_of_edge_ideal
 
@@ -172,10 +172,17 @@ class QuotientOrder:
             raise InputError(f"bad certificate JSON: {exc}") from None
         if len(names) != ambient:
             raise InputError("vars length does not match ambient")
-        index = {name: i for i, name in enumerate(names)}
+        bit = {name: 1 << i for i, name in enumerate(names)}
+
+        def mask(labels):
+            # distinct names add distinct bits; a repeated one carries, so
+            # the count comes out short and the union is taken instead
+            m = sum(map(bit.__getitem__, labels))
+            return m if m.bit_count() == len(labels) else sum({bit[v] for v in labels})
+
         try:
-            gens = tuple(_mask_of(index[v] for v in g) for g in ordered)
-            colon = tuple(_mask_of(index[v] for v in s) for s in colon)
+            gens = tuple(map(mask, ordered))
+            colon = tuple(map(mask, colon))
         except KeyError as exc:
             raise InputError(f"unknown variable {exc} in certificate") from None
         except TypeError as exc:
@@ -242,26 +249,29 @@ def betti_from_quotient_order(Q: QuotientOrder) -> BettiTable:
 
 
 def _search_masks(masks, spend=None, refute=None):
-    """Lexicographically first linear-quotients order of ``masks``, or None.
+    """Lexicographically first linear-quotients order of ``masks`` with the
+    colon mask of each of its steps, as (order, colon), or None.
 
     Depth-first search over prefixes, checking each candidate with
     ``_colon_step`` on columns kept along the way: an appended generator's
-    columns gain its position bit and lose it when it is popped.  Failed
-    prefix *sets* are memoized, which is exact because a step's colon
-    depends on the prefix only as a set.  The memo needs no cap of its own:
-    an entry follows each backtrack, which pops one expanded node (or ends
-    at the root), so it holds at most one entry per ``spend`` call plus one.
+    columns gain its position bit and lose it when it is popped, and its
+    colon mask is kept with it until then.  Failed prefix *sets* are
+    memoized, which is exact because a step's colon depends on the prefix
+    only as a set.  The memo needs no cap of its own: an entry follows each
+    backtrack, which pops one expanded node (or ends at the root), so it
+    holds at most one entry per ``spend`` call plus one.
     ``spend`` is called once per node expansion for budget accounting.
     ``refute`` is called once, at the first backtrack; when it returns
     True, no order exists and the search stops, else it resumes.
     """
     r = len(masks)
     if r <= 1:
-        return list(masks)
+        return list(masks), [0] * r
     vbit = [1 << v for v in range(max(masks).bit_length())]
     col = [0] * len(vbit)
     failed = set()
     chosen = []
+    colon = []
     insides = []
     used = 0
     nexts = [0]
@@ -270,19 +280,20 @@ def _search_masks(masks, spend=None, refute=None):
         k = len(chosen)
         if k == r:
             search_stats["backtracked" if backtracked else "greedy"] += 1
-            return [masks[i] for i in chosen]
+            return [masks[i] for i in chosen], colon
         advanced = False
         i = nexts[-1]
         while i < r:
             if not used >> i & 1:
                 child = used | 1 << i
                 if child not in failed:
-                    _, linear, inside = _colon_step(col, vbit, masks[i], k)
+                    v1, linear, inside = _colon_step(col, vbit, masks[i], k)
                     if linear:
                         if spend is not None:
                             spend()
                         nexts[-1] = i + 1
                         chosen.append(i)
+                        colon.append(v1)
                         insides.append(inside)
                         bit = 1 << k
                         for v in inside:
@@ -302,6 +313,7 @@ def _search_masks(masks, spend=None, refute=None):
                 return None
             backtracked = True
             used ^= 1 << chosen.pop()
+            colon.pop()
             bit = 1 << (k - 1)
             for v in insides.pop():
                 col[v] ^= bit
@@ -336,9 +348,7 @@ def find_order(I: MonomialIdeal, *, budget=None) -> QuotientOrder | None:
             return _order_from_masks(I.ambient, masks, colon)
     spend = _budget_counter(budget) if budget is not None else None
     found = _search_masks(masks, spend)
-    if found is None:
-        return None
-    return _order_from_masks(I.ambient, found)
+    return found and _order_from_masks(I.ambient, *found)
 
 
 def _budget_counter(budget: int):
@@ -364,7 +374,9 @@ class _OrderSearch:
     verified order, None means no order exists (proved by a GF(2) Betti
     witness, kept in ``witnesses``, or by exhaustive search); a budget
     overrun raises instead of guessing.  Covers are enumerated up to size
-    ``top``, the largest degree asked for, since blocks only go down.
+    ``top``, the largest degree asked for, since blocks only go down.  A
+    component ordered by a walk or by the search keeps the colon masks of
+    its order under its key in ``_colon``.
     """
 
     def __init__(self, adj, top: int, budget=None):
@@ -421,7 +433,10 @@ class _OrderSearch:
         if cand is not None and self._linear((active, d), cand):
             search_stats["structural"] += 1
             return cand
-        return _search_masks(gens, self.spend, lambda: self._refuted(active, d, gens))
+        found = _search_masks(gens, self.spend, lambda: self._refuted(active, d, gens))
+        if found is not None:
+            self._colon[active, d] = found[1]
+        return found and found[0]
 
     def _refuted(self, active: int, d: int, gens) -> bool:
         """Keep a GF(2) Betti witness of the component under (active, d);

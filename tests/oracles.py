@@ -17,10 +17,12 @@ check, where the package eliminates simplicial vertices.  Ranks are dense
 Gaussian elimination with pivot inverses, over Fractions or mod p, where
 the package eliminates sparse columns fraction-free; the full-scan witness
 oracle ranks every lcm-lattice point that way, where the package skips the
-points the purity lemma settles.  The campaign hypotheses on Graphs and
-vertex sets are the reference for the mask hypotheses the samplers' draws
-are tested with, and the simplicial-elimination scan with ``all`` over
-each neighbourhood is the reference for the bit walk.
+points the purity lemma settles.  The degree-component builder joins index
+combinations per generator, where the package adds bit values and can stop
+at a size limit.  The campaign hypotheses on Graphs and vertex sets are
+the reference for the mask hypotheses the samplers' draws are tested with,
+and the simplicial-elimination scan with ``all`` over each neighbourhood
+is the reference for the bit walk.
 """
 
 import random
@@ -29,11 +31,11 @@ from itertools import combinations, permutations
 from math import factorial
 
 from edgeideals.decide import SyzygyWitness, necessary_scm
-from edgeideals.graphs import (Graph, RemainderClass, add_whiskers, classify_remainder,
-                              delete_vertices, induced_subgraph, is_chordal)
+from edgeideals.graphs import (Graph, RemainderClass, _mask_of, add_whiskers,
+                              classify_remainder, delete_vertices, induced_subgraph, is_chordal)
 from edgeideals.homology import _koszul_complex, is_componentwise_linear
-from edgeideals.monomials import (Monomial, MonomialIdeal, alexander_dual_of_edge_ideal,
-                                  squarefree_degree_component)
+from edgeideals.monomials import (Monomial, MonomialIdeal, _order_key,
+                                  alexander_dual_of_edge_ideal, squarefree_degree_component)
 from edgeideals.quotients import has_dual_linear_quotients
 
 
@@ -80,6 +82,19 @@ def brute_minimal_covers(G):
             else:
                 out.append(m)
     return out
+
+
+def degree_component_by_generators(I, d):
+    """The degree-d component of I, built one generator at a time: each
+    generator's support joined by ``_mask_of`` with every choice of d - |g|
+    other variable indices, then sorted into a canonical ideal."""
+    masks = set()
+    for g in I.masks:
+        k = d - g.bit_count()
+        if k >= 0:
+            others = [v for v in range(I.ambient) if not g >> v & 1]
+            masks.update(g | _mask_of(extra) for extra in combinations(others, k))
+    return MonomialIdeal._from_canonical(I.ambient, sorted(masks, key=_order_key))
 
 
 def field_pool_graph(i):

@@ -378,6 +378,57 @@ def test_verify_refuses_forged_witnesses_fast(capsys, tmp_path, n, edges, degree
     assert out == ("" if code == 2 else f"verified: false ({why})\n")
 
 
+def _star_payloads():
+    """K_{1,39} and three payloads whose certificate names a component
+    larger than itself: a bare one-generator certificate of degree 20
+    (whose component has C(39, 19) generators), a report filing it under
+    degree 20, and a verdict with a one-generator degree-2 certificate."""
+    from edgeideals.graphs import Graph
+    G = Graph(40, [(0, j) for j in range(1, 40)])
+    labels = list(G.labels)
+
+    def cert(names):
+        return {"ambient": 40, "vars": labels, "ordered_gens": [names], "colon_vars": [[]]}
+    bare = cert(labels[:20])
+    report = {"kind": "dlq-report", "verdict": None,
+              "per_degree": {"1": cert(["x1"]), "20": bare},
+              "unknown": [d for d in range(2, 40) if d != 20], "skipped": []}
+    verdict = {"property": "SCM", "value": True, "field": "2",
+               "field_independent": True,
+               "evidence": {"kind": "quotient-certificates",
+                            "per_degree": {str(d): cert(["x1"]) if d == 1 else cert(labels[:2])
+                                           for d in range(1, 40)}}}
+    return G, {"bare": (bare, ""), "report": (report, "degree 20: "),
+               "verdict": (verdict, "degree 2: ")}
+
+
+@pytest.mark.parametrize("which", ["bare", "report", "verdict"])
+def test_verify_refuses_an_oversized_component_unbuilt(tmp_path, which):
+    # the component is compared only up to the certificate's size, so the
+    # refusal comes before C(39, 19) masks are built; the check runs in a
+    # child interpreter so that a regression is cut off, not waited out
+    import os
+    import subprocess
+    import sys
+    from edgeideals.graphs import format_graph
+    G, payloads = _star_payloads()
+    data, prefix = payloads[which]
+    graph = tmp_path / "star.graph"
+    graph.write_text(format_graph(G))
+    payload = tmp_path / "payload.json"
+    payload.write_text(json.dumps(data))
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        child = subprocess.run([sys.executable, "-m", "edgeideals", "verify", str(graph),
+                                "--in", str(payload)],
+                               capture_output=True, text=True, env=env, timeout=10)
+    except subprocess.TimeoutExpired:
+        pytest.fail("verify still running after 10 s")
+    why = prefix + "certificate generators do not match the graph's dual component"
+    assert (child.returncode, child.stdout) == (1, f"verified: false ({why})\n")
+
+
 def test_cli_holds_no_evidence_logic():
     # evidence is re-checked by decide.check_evidence; the CLI only does I/O
     import edgeideals.cli

@@ -5,9 +5,11 @@ import pytest
 from edgeideals import (Graph, InputError, Monomial, MonomialIdeal,
                         alexander_dual_of_edge_ideal, cycle_graph, edge_ideal,
                         squarefree_degree_component, vertex_covers_of_size)
-from edgeideals.monomials import _order_key
+from edgeideals.graphs import _default_labels, _whiskered_adj
+from edgeideals.harness import _classes, rp2_sd
+from edgeideals.monomials import _component_masks, _order_key
 
-from oracles import brute_dual, colon_by_monomial
+from oracles import brute_dual, colon_by_monomial, degree_component_by_generators, field_pool_graph
 
 
 def M(*vs):
@@ -117,6 +119,38 @@ def test_component_matches_covers_of_size():
             comp = squarefree_degree_component(dual, d)
             covers = vertex_covers_of_size(G, d)
             assert {frozenset(g.support) for g in comp.gens} == set(covers)
+
+
+def _check_component(I, d):
+    """The package's component of I in degree d against the per-generator
+    oracle: in canonical order, as a set, and against size limits."""
+    want = degree_component_by_generators(I, d)
+    assert squarefree_degree_component(I, d) == want
+    got = _component_masks(I.masks, I.ambient, d)
+    assert got == set(want.masks)
+    r = len(want.masks)
+    assert _component_masks(I.masks, I.ambient, d, r) == got
+    if r:
+        assert _component_masks(I.masks, I.ambient, d, r - 1) is None
+
+
+def test_component_masks_match_the_generator_oracle():
+    # every degree dmin - 1 .. D + 1 of the benchmark's field duals (RP2-SD
+    # and the G(14, 0.3) pool) and of the duals of every whiskered (G, S)
+    # class on at most five vertices
+    duals = [alexander_dual_of_edge_ideal(rp2_sd())]
+    duals += [alexander_dual_of_edge_ideal(field_pool_graph(i)) for i in range(34)]
+    for _, classes in _classes(5):
+        for adj, smask in classes:
+            wadj = _whiskered_adj(adj, smask)
+            W = Graph._from_adj(wadj, _default_labels(len(wadj)))
+            duals.append(alexander_dual_of_edge_ideal(W))
+    checked = 0
+    for dual in duals:
+        for d in range(max(dual.min_degree - 1, 0), dual.max_degree + 2):
+            _check_component(dual, d)
+            checked += 1
+    assert len(duals) == 35 + 662 and checked == 2807
 
 
 def test_component_monotone():

@@ -306,7 +306,10 @@ def test_find_order_matches_permutation_oracle():
                 first = next((list(p) for p in permutations(seq)
                               if all(ok for ok, _ in colon_steps_by_ideal(
                                   G.n, [list(_bits(m)) for m in p]))), None)
-                assert _search_masks(seq) == first
+                found = _search_masks(seq)
+                assert (found and found[0]) == first
+                # the kept colon masks are those a walk of the order finds
+                assert found is None or found[1] == _colon_walk(found[0])[0]
                 lex += 1
                 impossible += first is None
     assert checked > 40
@@ -614,6 +617,51 @@ def test_gf2_witness_agrees_with_the_exact_search():
     assert refuted >= 20 and ordered >= 500
 
 
+def test_searched_orders_keep_their_colon_masks(monkeypatch):
+    # an order the search finds is packaged with the colon masks the search
+    # computed: _order_from_masks walks no order the search returned (a
+    # component with the same generators under another key may still walk
+    # it, as that key's own identity or structural check)
+    import sys
+    import edgeideals.quotients as quotients
+    from edgeideals import SearchBudgetExceeded
+    from oracles import field_pool_graph
+    events = []
+    walk, search = quotients._colon_walk, quotients._search_masks
+
+    def spied_walk(masks, *args, **kwargs):
+        events.append(("walk", tuple(masks), sys._getframe(1).f_code.co_name))
+        return walk(masks, *args, **kwargs)
+
+    def spied_search(masks, *args, **kwargs):
+        found = search(masks, *args, **kwargs)
+        events.append(("search", found and tuple(found[0])))
+        return found
+    monkeypatch.setattr(quotients, "_colon_walk", spied_walk)
+    monkeypatch.setattr(quotients, "_search_masks", spied_search)
+    found = 0
+
+    def check(call, *args):
+        nonlocal found
+        events.clear()
+        try:
+            call(*args, budget=20_000)
+        except SearchBudgetExceeded:
+            pass
+        for k, event in enumerate(events):
+            if event[0] == "search" and event[1]:
+                found += 1
+                assert ("walk", event[1], "_order_from_masks") not in events[k:], (call, args)
+    for i in range(34):
+        G = field_pool_graph(i)
+        check(has_dual_linear_quotients, G)
+        # find_order on the components that have an order
+        dual = alexander_dual_of_edge_ideal(G)
+        for d in has_dual_linear_quotients(G, budget=20_000).certificates():
+            check(find_order, squarefree_degree_component(dual, d))
+    assert found >= 100
+
+
 def test_refute_runs_once_at_the_first_backtrack():
     # nine cubic masks on six variables, in an order whose lexicographic
     # search dead-ends once before it finds an order
@@ -638,7 +686,8 @@ def test_refute_runs_once_at_the_first_backtrack():
     assert search_stats["refuted"] == 1 and search_stats["exhausted"] == 0
     # a greedy win never asks
     C5 = list(alexander_dual_of_edge_ideal(cycle_graph(5)).masks)
-    assert _search_masks(C5, refute=lambda: pytest.fail("asked without a backtrack")) == C5
+    assert _search_masks(C5, refute=lambda: pytest.fail("asked without a backtrack")) == (
+        C5, _colon_walk(C5)[0])
 
 
 def test_witness_scan_is_charged_to_the_budget(monkeypatch):
