@@ -240,21 +240,20 @@ def _component_masks(masks, ambient: int, d: int, limit=inf):
     than ``limit`` members: once the part built so far has, or once one
     generator g alone has more, since its comb(ambient - |g|, d - |g|)
     extensions are pairwise distinct.  Both are checked before each
-    generator is enumerated, and the first again at the end.  The
-    extensions add g to sums of the bit values outside it.
+    generator of degree below d is enumerated, and the first again at the
+    end.  The extensions add g to sums of the bit values outside it.
     """
     bits = [1 << v for v in range(ambient)]
     out = set()
     for g in masks:
         k = d - g.bit_count()
-        if k >= 0:
-            if len(out) > limit or comb(ambient - g.bit_count(), k) > limit:
+        if k > 0:
+            if len(out) > limit or comb(ambient - d + k, k) > limit:
                 return None
-            if k:
-                free = [b for b in bits if not g & b]
-                out.update(map(g.__or__, map(sum, combinations(free, k))))
-            else:
-                out.add(g)
+            free = [b for b in bits if not g & b]
+            out.update(map(g.__or__, map(sum, combinations(free, k))))
+        elif k == 0:
+            out.add(g)
     return out if len(out) <= limit else None
 
 
