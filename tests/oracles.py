@@ -17,7 +17,7 @@ check, where the package eliminates simplicial vertices.  Ranks are dense
 Gaussian elimination with pivot inverses, over Fractions or mod p, where
 the package eliminates sparse columns fraction-free; the full-scan witness
 oracle ranks every lcm-lattice point that way, where the package skips the
-points the purity lemma settles.  The degree-component builder joins index
+points the purity lemma settles.  The degree-component oracle joins index
 combinations per generator, where the package adds bit values and can stop
 at a size limit.  The campaign hypotheses on Graphs and vertex sets are
 the reference for the mask hypotheses the samplers' draws are tested with,

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -407,9 +410,6 @@ def test_verify_refuses_an_oversized_component_unbuilt(tmp_path, which):
     # the component is compared only up to the certificate's size, so the
     # refusal comes before C(39, 19) masks are built; the check runs in a
     # child interpreter so that a regression is cut off, not waited out
-    import os
-    import subprocess
-    import sys
     from edgeideals.graphs import format_graph
     G, payloads = _star_payloads()
     data, prefix = payloads[which]

@@ -662,6 +662,8 @@ def test_refute_runs_once_at_the_first_backtrack():
 
     plain, plain_nodes, _ = run(None)
     assert plain is not None and search_stats["backtracked"] == 1
+    # the colon masks kept through the backtrack are the order's own
+    assert plain[1] == _colon_walk(plain[0])[0]
     # no witness: the search resumes where it stopped, node for node
     assert run(lambda: False) == (plain, plain_nodes, 1)
     assert search_stats["backtracked"] == 1
