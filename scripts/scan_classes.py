@@ -1,9 +1,10 @@
 """Time the componentwise-linearity scan over whiskered graph classes.
 
 Takes the first COUNT isomorphism classes of graphs G on VERTICES vertices
-with a vertex subset S, in the order ``harness._classes`` yields them,
-whiskers S, and times ``is_componentwise_linear`` over the Alexander dual
-of each whiskered edge ideal in the given field.  Prints the scan time
+with a vertex subset S, in ascending order of their canonical forms (the
+order ``harness._classes`` yields them in), whiskers S, and times
+``is_componentwise_linear`` over the Alexander dual of each whiskered edge
+ideal in the given field.  Prints the scan time
 (class generation and duals excluded), the number of classes and
 non-componentwise-linear duals, and a SHA-256 over the reports, so two
 versions of the package can be compared on the same work:

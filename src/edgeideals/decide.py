@@ -18,7 +18,7 @@ from itertools import combinations
 from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, _bits, _classify_remainder, _default_labels,
                      _delete_adj, _edgeless, _independent_sets, _mask_of, _whiskered_adj)
-from .monomials import _component_masks, alexander_dual_of_edge_ideal, squarefree_degree_component
+from .monomials import MonomialIdeal, _component_masks, _order_key, alexander_dual_of_edge_ideal
 from .quotients import QuotientOrder, find_order, has_dual_linear_quotients, verify_order
 from .homology import (BettiWitness, CWLReport, FieldSpec, GF2, is_componentwise_linear,
                        _componentwise_scan, _facet_ranks)
@@ -501,10 +501,13 @@ def _check_per_degree(G: Graph, dual, per, undecided=()):
     re-check over GF(2): a nonlinear Betti number over any field rules out
     linear quotients.  A null entry claims the same, which a search within
     ``DEFAULT_SEARCH_BUDGET`` nodes must confirm; an overrun raises
-    SearchBudgetExceeded.  Returns (reason, verdict): the first failure or
-    None, and the dual-linear-quotients verdict the evidence supports
-    (False with a confirmed witness or null, else None with an undecided
-    degree, else True).
+    SearchBudgetExceeded, and so does a component of more generators than
+    that, before it is built.  A genuine null entry is never refused by
+    this: a search that finds no order expands every generator as a first
+    step, so it would overrun anyway.  Returns (reason, verdict): the first
+    failure or None, and the dual-linear-quotients verdict the evidence
+    supports (False with a confirmed witness or null, else None with an
+    undecided degree, else True).
     """
     entries = sorted(((_int(k, "degree"), v) for k, v in _object(per, "per_degree").items()),
                      key=lambda e: e[0])
@@ -515,8 +518,12 @@ def _check_per_degree(G: Graph, dual, per, undecided=()):
     impossible = False
     for d, cert in entries:
         if cert is None:
-            if find_order(squarefree_degree_component(dual, d),
-                          budget=DEFAULT_SEARCH_BUDGET) is not None:
+            masks = _component_masks(dual.masks, dual.ambient, d, DEFAULT_SEARCH_BUDGET)
+            if masks is None:
+                raise SearchBudgetExceeded(f"degree {d} has over {DEFAULT_SEARCH_BUDGET} "
+                                           "generators, more than a search may expand")
+            component = MonomialIdeal._from_canonical(dual.ambient, sorted(masks, key=_order_key))
+            if find_order(component, budget=DEFAULT_SEARCH_BUDGET) is not None:
                 return f"degree {d} claimed impossible but an order exists", None
             impossible = True
         elif _object(cert, "degree entry").get("kind") == BettiWitness.kind:

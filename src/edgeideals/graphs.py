@@ -83,16 +83,26 @@ def _whiskered_adj(adj: tuple, bases: int) -> tuple:
 
 def _canonical(adj: tuple, smask: int) -> tuple:
     """The canonical form (adjacency tuple, S-mask, |Aut(G, S)|) of the
-    graph ``adj`` with the vertex set ``smask``.
+    graph ``adj`` with the vertex set ``smask``: ``_least_relabellings``
+    with the relabellings counted."""
+    best, canon_smask, seqs = _least_relabellings(adj, smask)
+    return best, canon_smask, len(seqs)
+
+
+def _least_relabellings(adj: tuple, smask: int) -> tuple:
+    """The canonical form (adjacency tuple, S-mask) of the graph ``adj``
+    with the vertex set ``smask``, and the relabellings that reach it, each
+    as the sequence of old vertices in their new order.
 
     Vertices are sorted into classes by the invariant (S bit, degree,
     sorted neighbour degrees), the classes in invariant order, and every
     permutation inside each class is tried: the form is the least adjacency
-    tuple reached, with the S-mask the class order fixes, and the count is
-    the number of these relabellings that reach it.  It is exact: the
+    tuple reached, with the S-mask the class order fixes.  It is exact: the
     classes and their order are isomorphism invariants, so isomorphic
     pairs reach the same least tuple, and the relabellings that reach it
-    form one coset of Aut(G, S), which preserves the classes.
+    form one coset of Aut(G, S), which preserves the classes.  On a
+    canonical form the vertices already lie in class order, so the coset
+    is Aut(G, S) itself: the relabellings are its automorphisms.
     """
     n = len(adj)
     degree = [a.bit_count() for a in adj]
@@ -102,7 +112,7 @@ def _canonical(adj: tuple, smask: int) -> tuple:
     order = sorted(range(n), key=invariant.__getitem__)
     canon_smask = _mask_of(i for i, v in enumerate(order) if smask >> v & 1)
     classes = [tuple(c) for _, c in groupby(order, key=invariant.__getitem__)]
-    best, count = None, 0
+    best, seqs = None, []
     bit = [0] * n
     for parts in product(*map(permutations, classes)):
         seq = [v for part in parts for v in part]
@@ -110,10 +120,22 @@ def _canonical(adj: tuple, smask: int) -> tuple:
             bit[v] = 1 << i
         cand = tuple(sum(map(bit.__getitem__, nbrs[v])) for v in seq)
         if best is None or cand < best:
-            best, count = cand, 1
+            best, seqs = cand, [seq]
         elif cand == best:
-            count += 1
-    return best, canon_smask, count
+            seqs.append(seq)
+    return best, canon_smask, seqs
+
+
+def _mask_orbits(auts, n: int) -> list:
+    """The least mask of each orbit of the relabellings ``auts`` (vertex
+    sequences forming a group, as ``_least_relabellings`` gives them on a
+    canonical form) on the subsets of n vertices, in ascending order."""
+    seen, reps = set(), []
+    for m in range(1 << n):
+        if m not in seen:
+            reps.append(m)
+            seen.update(_mask_of(seq[i] for i in _bits(m)) for seq in auts)
+    return reps
 
 
 def _induces_one_cycle(adj, verts: int) -> bool:

@@ -27,7 +27,8 @@ from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, add_whiskers, cycle_graph, delete_vertices,
                      format_graph, path_graph, _bits, _canonical, _classify_remainder,
                      _default_labels, _delete_adj, _drop, _edgeless, _elimination_order,
-                     _induces_one_cycle, _mask_of, _whiskered_adj)
+                     _induces_one_cycle, _least_relabellings, _mask_of, _mask_orbits,
+                     _whiskered_adj)
 from .monomials import MonomialIdeal, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, make_order,
                         verify_order, search_stats)
@@ -465,26 +466,41 @@ def _all_induced_dlq(adj: tuple, smask: int, memo: dict, canon: dict) -> bool:
 def _classes(limit: int):
     """Yield (n, classes) for n = 1..limit, where ``classes`` maps the
     canonical form (adjacency tuple, S-mask) of each isomorphism class of
-    graphs G on n vertices with a vertex subset S to |Aut(G, S)|.
+    graphs G on n vertices with a vertex subset S to |Aut(G, S)|, in
+    ascending order of the form.
 
-    Canonical augmentation (McKay, J. Algorithms 1998): deleting the last
-    vertex of a labelled pair on n vertices leaves a pair on n - 1, so
-    every class on n vertices is reached by adding a vertex, with every
-    neighbourhood and both S bits, to each class on n - 1 vertices; the
-    results are deduplicated by canonical form.
+    The plain graphs (S empty) grow by canonical augmentation (McKay,
+    J. Algorithms 1998): deleting the last vertex of a graph on n vertices
+    leaves one on n - 1, isomorphic to its class representative R, so
+    every class on n vertices is R plus a vertex with some neighbourhood
+    N; an automorphism of R carries N to any mask in its orbit without
+    changing the class, so one N per Aut(R)-orbit, its least mask, suffices.
+
+    The pairs then come from the plain representatives.  Lemma: isomorphic
+    pairs (G, S) have isomorphic graphs; relabelling a pair along an
+    isomorphism from G to its representative P puts the class on P, as
+    (P, S'); and masks in one Aut(P)-orbit give one class.  So one
+    ``_canonical(P, S')`` per Aut(P)-orbit of masks reaches every class
+    once.  Aut(P) itself is the set of relabellings that reach P's
+    canonical form, since P is one (``graphs._least_relabellings``), and
+    its orbits on masks serve both as the S-masks of P and as the
+    neighbourhoods of the next vertex.
     """
-    reps = {((), 0): 1}
+    level = [((), [0])]  # plain representatives on n - 1 vertices, with their mask orbits
     for n in range(1, limit + 1):
         new = 1 << (n - 1)
-        grown = {}
-        for adj, smask in reps:
-            for nbrs in range(new):
-                gadj = tuple(a | new if nbrs >> v & 1 else a for v, a in enumerate(adj)) + (nbrs,)
-                for s in (smask, smask | new):
-                    cadj, cmask, aut = _canonical(gadj, s)
-                    grown[cadj, cmask] = aut
-        yield n, grown
-        reps = grown
+        plain = {_canonical(tuple(a | new if nbrs >> v & 1 else a for v, a in enumerate(adj))
+                            + (nbrs,), 0)[0] for adj, orbits in level for nbrs in orbits}
+        classes, level = {}, []
+        for adj in plain:
+            auts = _least_relabellings(adj, 0)[2]
+            orbits = _mask_orbits(auts, n)
+            level.append((adj, orbits))
+            classes[adj, 0] = len(auts)
+            for smask in orbits[1:]:
+                cadj, cmask, aut = _canonical(adj, smask)
+                classes[cadj, cmask] = aut
+        yield n, dict(sorted(classes.items()))
 
 
 def _run_t37(campaign: Campaign) -> Report:
@@ -501,11 +517,14 @@ def _run_t37(campaign: Campaign) -> Report:
 
     Both sides are invariant under relabelling (the relabelling lemma at
     ``all_induced_dlq``), so the sweep decides one representative per
-    isomorphism class of (G, S) on n vertices from ``_classes`` and counts
-    it as its n!/|Aut(G, S)| labelled pairs (orbit-stabilizer).  Per n the
-    weights must sum to the 2^C(n,2) * 2^n labelled pairs, or the sweep
-    raises AssertionError.  A failing class is reported on its
-    representative, with the running labelled count as its trial.
+    isomorphism class of (G, S) on n vertices and counts it as its
+    n!/|Aut(G, S)| labelled pairs (orbit-stabilizer).  The representatives
+    are the canonical forms ``_classes`` grows from the plain graph
+    classes, one per orbit of each plain representative's automorphisms
+    on S-masks, swept in ascending order.  Per n the weights must sum to
+    the 2^C(n,2) * 2^n labelled pairs, or the sweep raises AssertionError.
+    A failing class is reported on its representative, with the running
+    labelled count as its trial.
     """
     report = Report(campaign, CLAIM_STATEMENTS["T3.7"])
     memo, canon = {}, {}

@@ -405,14 +405,10 @@ def _star_payloads():
                "verdict": (verdict, "degree 2: ")}
 
 
-@pytest.mark.parametrize("which", ["bare", "report", "verdict"])
-def test_verify_refuses_an_oversized_component_unbuilt(tmp_path, which):
-    # the component is compared only up to the certificate's size, so the
-    # refusal comes before C(39, 19) masks are built; the check runs in a
-    # child interpreter so that a regression is cut off, not waited out
+def _verify_in_child(tmp_path, G, data):
+    """``verify`` of ``data`` against G in a child interpreter, so that a
+    regression into an unbounded build is cut off, not waited out."""
     from edgeideals.graphs import format_graph
-    G, payloads = _star_payloads()
-    data, prefix = payloads[which]
     graph = tmp_path / "star.graph"
     graph.write_text(format_graph(G))
     payload = tmp_path / "payload.json"
@@ -420,13 +416,34 @@ def test_verify_refuses_an_oversized_component_unbuilt(tmp_path, which):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     try:
-        child = subprocess.run([sys.executable, "-m", "edgeideals", "verify", str(graph),
-                                "--in", str(payload)],
-                               capture_output=True, text=True, env=env, timeout=10)
+        return subprocess.run([sys.executable, "-m", "edgeideals", "verify", str(graph),
+                               "--in", str(payload)],
+                              capture_output=True, text=True, env=env, timeout=10)
     except subprocess.TimeoutExpired:
         pytest.fail("verify still running after 10 s")
+
+
+@pytest.mark.parametrize("which", ["bare", "report", "verdict"])
+def test_verify_refuses_an_oversized_component_unbuilt(tmp_path, which):
+    # the component is compared only up to the certificate's size, so the
+    # refusal comes before C(39, 19) masks are built
+    G, payloads = _star_payloads()
+    data, prefix = payloads[which]
+    child = _verify_in_child(tmp_path, G, data)
     why = prefix + "certificate generators do not match the graph's dual component"
     assert (child.returncode, child.stdout) == (1, f"verified: false ({why})\n")
+
+
+def test_verify_refuses_a_null_entry_over_the_budget_unbuilt(tmp_path):
+    # a null degree-20 entry is counted against the search budget before
+    # its C(39, 19)-generator component is built
+    G, payloads = _star_payloads()
+    report = {**payloads["report"][0], "verdict": False}
+    report["per_degree"] = {**report["per_degree"], "20": None}
+    child = _verify_in_child(tmp_path, G, report)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == "error: degree 20 has over 20000 generators, " \
+                           "more than a search may expand\n"
 
 
 def test_cli_holds_no_evidence_logic():

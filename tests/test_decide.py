@@ -266,7 +266,6 @@ def test_lift_matches_the_component_oracle():
 def test_lift_check_builds_no_graph_ideal_or_component(monkeypatch):
     # the lift check works on G's adjacency masks alone
     from edgeideals import Campaign, MonomialIdeal, harness, monomials, run_campaign
-    import edgeideals.decide
     import oracles
     lifts = []
     lift = harness.check_koszul_lift
@@ -285,7 +284,7 @@ def test_lift_check_builds_no_graph_ideal_or_component(monkeypatch):
     monkeypatch.setattr(Graph, "_from_adj", classmethod(counted("Graph", from_adj)))
     monkeypatch.setattr(MonomialIdeal, "_from_canonical",
                         classmethod(counted("MonomialIdeal", from_canonical)))
-    for module in (monomials, edgeideals.decide, oracles):
+    for module in (monomials, oracles):
         monkeypatch.setattr(module, "squarefree_degree_component",
                             counted("component", component))
     for args in lifts:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,8 +9,9 @@ from edgeideals import (Graph, InputError, RemainderClass, add_whiskers,
                         minimal_vertex_covers, parse_graph, path_graph,
                         vertex_covers_of_size)
 
-from edgeideals.graphs import (_bits, _covers_by_size, _elimination_order, _independent_sets,
-                               _induces_one_cycle, _mask_of, _minimal_cover_masks)
+from edgeideals.graphs import (_bits, _canonical, _covers_by_size, _elimination_order,
+                               _independent_sets, _induces_one_cycle, _least_relabellings,
+                               _mask_of, _mask_orbits, _minimal_cover_masks)
 from edgeideals.monomials import _order_key, alexander_dual_of_edge_ideal
 
 from oracles import (brute_covers, brute_minimal_covers, classify_by_mcs,
@@ -485,3 +486,27 @@ def test_parse_fuzz_raises_only_input_error(tmp_path):
             parse_graph(text)
         except InputError:
             pass
+
+
+def test_relabellings_of_a_canonical_form_are_its_automorphisms():
+    # on every labelled graph with at most four vertices and random ones on
+    # 5-6: the relabellings reaching the canonical form C, asked of C
+    # itself, are the permutations of all n! that fix C; their count is the
+    # labelled graph's |Aut|; and the orbit representatives are the least
+    # mask of each orbit of those permutations, one per orbit
+    rng = random.Random(26)
+    graphs = list(every_labelled_graph(4))
+    graphs += [random_graph(rng, rng.randint(5, 6), rng.choice([0.2, 0.5, 0.8]))
+               for _ in range(60)]
+    for G in graphs:
+        n = G.n
+        C, _, count = _canonical(G.adj, 0)
+        edges = {(u, v) for u in range(n) for v in _bits(C[u])}
+        fixing = {perm for perm in permutations(range(n))
+                  if all((perm[u], perm[v]) in edges for u, v in edges)}
+        best, smask, seqs = _least_relabellings(C, 0)
+        assert (best, smask) == (C, 0)
+        assert {tuple(seq) for seq in seqs} == fixing and len(seqs) == count, G
+        orbits = {frozenset(_mask_of(perm[v] for v in _bits(m)) for perm in fixing)
+                  for m in range(1 << n)}
+        assert _mask_orbits(seqs, n) == sorted(min(orbit) for orbit in orbits), G
