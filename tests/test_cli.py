@@ -625,6 +625,21 @@ def test_fixture_output_bytes_pinned(capsys, fixture_id):
         assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# verify-theorem T3.7 --max-n N --json, recorded before the cover walk
+# settled whisker tips and before the sweep ran its dual checks on masks
+T37_SHA256 = {
+    "4": "0d08970ab23a3ea65d7d8562a616bf31d6cfb974967307a692c5d0842b7ba0f9",
+    "5": "e5268b68c9b4f475dd5e00dd3dc0ee9f41107230473f31f414ba4e799275a28d",
+}
+
+
+@pytest.mark.parametrize("max_n", sorted(T37_SHA256))
+def test_t37_report_bytes_pinned(capsys, max_n):
+    import hashlib
+    code, out, _ = run(capsys, "verify-theorem", "T3.7", "--max-n", max_n, "--json")
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == T37_SHA256[max_n]
+
+
 def test_verify_theorem_refuses_max_n_below_one(capsys):
     for argv in (("T3.2", "--max-n", "0", "--trials", "2"), ("T3.7", "--max-n", "0")):
         code, out, err = run(capsys, "verify-theorem", *argv)

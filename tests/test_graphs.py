@@ -372,6 +372,29 @@ def test_stack_walk_matches_the_recursive_walk_on_random_graphs():
                 (G, active, need, maximal)
 
 
+# the minimal covers of W(C_k), k = 3..16, then of the 24 fully whiskered
+# graphs of perfbench's whiskered workload at seed 1, one line of masks per
+# graph, recorded before the cover walk settled whisker tips
+WHISKERED_COVERS_SHA256 = "32a8e38a38be085a1407ac488893caed414d77edcb0cdd5b09f1e8ff99b876f8"
+
+
+def test_whiskered_minimal_covers_pinned():
+    import hashlib
+    import importlib.util
+    from pathlib import Path
+    script = Path(__file__).resolve().parent.parent / "scripts" / "verify_payloads.py"
+    spec = importlib.util.spec_from_file_location("verify_payloads", script)
+    verify_payloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(verify_payloads)
+    graphs = [add_whiskers(cycle_graph(k), range(k))[0] for k in range(3, 17)]
+    graphs += verify_payloads.whiskered_graphs(1, 24)
+    digest = hashlib.sha256()
+    for W in graphs:
+        masks = _minimal_cover_masks(W.adj, (1 << W.n) - 1)
+        digest.update((",".join(map(str, masks)) + "\n").encode())
+    assert digest.hexdigest() == WHISKERED_COVERS_SHA256
+
+
 def test_unmixed_top_component_is_the_dual():
     # the lemma at has_dual_linear_quotients: on an unmixed graph the
     # covers of size D are the minimal covers, in the same order; 7 333 of
