@@ -340,7 +340,7 @@ def necessary_scm(G: Graph, S, field: FieldSpec = GF2) -> SyzygyWitness | None:
     dmin..D, each component has a linear resolution over every field (the
     lemma of ``quotients._OrderSearch._order_uncached``, after
     Herzog-Takayama), and those above D inherit one (the lemma of
-    ``has_dual_linear_quotients``), so no witness exists in any field.
+    ``quotients._dual_orders``), so no witness exists in any field.
     Only a failed or undecided search runs the scan, on the dual the search
     already built, and only on the degrees it left without an order
     (``_scan_open_degrees``).
@@ -465,7 +465,7 @@ def _check_betti_witness(G: Graph, dual, ev, field: FieldSpec, key=None):
     at the multidegree, is nonzero off the linear strand.  ``key`` is the
     degree it is filed under, if any.  A degree outside dmin..D is refused
     unbuilt: the components below dmin are zero and those above D have
-    linear quotients (the lemma of ``has_dual_linear_quotients``), so
+    linear quotients (the lemma of ``quotients._dual_orders``), so
     neither has a nonlinear Betti number.  Raises SearchBudgetExceeded,
     before the complex is built, when the upper Koszul complex at the
     witness may have more than ``DEFAULT_SEARCH_BUDGET`` faces.
@@ -495,7 +495,7 @@ def _check_per_degree(G: Graph, dual, per, undecided=()):
 
     The keys and the ``undecided`` degrees (unknown or skipped) must name
     every degree dmin..D of the dual exactly once (the components above D
-    need none, by the lemma of ``has_dual_linear_quotients``).  A
+    need none, by the lemma of ``quotients._dual_orders``).  A
     certificate must order the component of its own key's degree.  A
     betti-witness entry claims that component has no order, and must
     re-check over GF(2): a nonlinear Betti number over any field rules out

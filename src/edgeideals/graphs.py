@@ -61,11 +61,12 @@ def _drop(mask: int, v: int) -> int:
 
 
 def _delete_adj(adj: tuple, gone: int) -> tuple:
-    """The adjacency tuple without the vertices in ``gone``, reindexed by
-    ``_drop`` from the highest down so the lower indices hold still."""
+    """The adjacency tuple without the vertices in ``gone``, reindexed as
+    ``_drop`` does, from the highest down so the lower indices hold still."""
     while gone:
         v = gone.bit_length() - 1
-        adj = tuple(_drop(a, v) for a in adj[:v] + adj[v + 1:])
+        low = (1 << v) - 1
+        adj = tuple(a & low | a >> 1 & ~low for a in adj[:v] + adj[v + 1:])
         gone ^= 1 << v
     return adj
 
@@ -92,7 +93,8 @@ def _canonical(adj: tuple, smask: int) -> tuple:
 def _least_relabellings(adj: tuple, smask: int) -> tuple:
     """The canonical form (adjacency tuple, S-mask) of the graph ``adj``
     with the vertex set ``smask``, and the relabellings that reach it, each
-    as the sequence of old vertices in their new order.
+    as the sequence of old vertices in their new order: the search of
+    ``_least_in_classes`` over the classes of ``_invariant_classes``.
 
     Vertices are sorted into classes by the invariant (S bit, degree,
     sorted neighbour degrees), the classes in invariant order, and every
@@ -104,14 +106,27 @@ def _least_relabellings(adj: tuple, smask: int) -> tuple:
     canonical form the vertices already lie in class order, so the coset
     is Aut(G, S) itself: the relabellings are its automorphisms.
     """
-    n = len(adj)
+    return _least_in_classes(adj, _invariant_classes(adj, smask), smask.bit_count())
+
+
+def _invariant_classes(adj: tuple, smask: int) -> list:
+    """The vertices of ``adj`` grouped by the invariant (S bit, degree,
+    sorted neighbour degrees), each group in index order, the groups in
+    invariant order, so the S vertices come last."""
     degree = [a.bit_count() for a in adj]
+    invariant = [(smask >> v & 1, degree[v], sorted(degree[u] for u in _bits(a)))
+                 for v, a in enumerate(adj)]
+    order = sorted(range(len(adj)), key=invariant.__getitem__)
+    return [tuple(c) for _, c in groupby(order, key=invariant.__getitem__)]
+
+
+def _least_in_classes(adj: tuple, classes, k: int) -> tuple:
+    """The least adjacency tuple reached by relabelling ``adj`` along the
+    concatenation of one permutation of each class, the mask of its last k
+    vertices (the S vertices, whose classes come last), and the vertex
+    sequences that reach it."""
+    n = len(adj)
     nbrs = [tuple(_bits(a)) for a in adj]
-    invariant = [(smask >> v & 1, degree[v], sorted(degree[u] for u in nbrs[v]))
-                 for v in range(n)]
-    order = sorted(range(n), key=invariant.__getitem__)
-    canon_smask = _mask_of(i for i, v in enumerate(order) if smask >> v & 1)
-    classes = [tuple(c) for _, c in groupby(order, key=invariant.__getitem__)]
     best, seqs = None, []
     bit = [0] * n
     for parts in product(*map(permutations, classes)):
@@ -123,7 +138,7 @@ def _least_relabellings(adj: tuple, smask: int) -> tuple:
             best, seqs = cand, [seq]
         elif cand == best:
             seqs.append(seq)
-    return best, canon_smask, seqs
+    return best, (1 << n) - (1 << n - k), seqs
 
 
 def _mask_orbits(auts, n: int) -> list:
@@ -407,15 +422,38 @@ def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False):
     vertices v leaves undominated.  The walk descends the avoiding branch
     in place and stacks the taking one, so a node's avoiding sets all come
     out before its taking sets.
+
+    With ``maximal`` the walk settles tips instead of branching on them.  A
+    tip is a vertex pendant in verts_mask whose one neighbour there, its
+    base, has a lower index; a base is never a tip, as its tip is a higher
+    neighbour.  A maximal set holds a tip exactly when it avoids the tip's
+    base.  So the walk branches only on the other vertices: a base never
+    waits, since its tip will dominate it; taking a base drops its tips, as
+    any neighbours; and the tips still candidates at a leaf, whose bases
+    are all left out, join the set there.  Tips stay candidates until then,
+    so they count toward ``need`` exactly as before.  Lemma: the sets and
+    their order are unchanged.  The first vertex at which two maximal sets
+    differ is never a tip, since both sets agree on its base, of lower
+    index, and the base decides the tip; and the walk orders the sets by
+    that first vertex, avoiding it first.
     """
     if verts_mask.bit_count() < need:
         return
+    tips = bases = 0
+    if maximal:
+        for v in _bits(verts_mask):
+            nb = adj[v] & verts_mask
+            if 0 < nb < 1 << v and not nb & (nb - 1):
+                tips |= 1 << v
+                bases |= nb
+    branch, waits = ~tips, ~bases
     stack = [(verts_mask, need, 0, 0)]
     push = stack.append
     while stack:
         verts, need, waiting, taken = stack.pop()
-        while verts:
-            low = verts & -verts
+        low = verts & branch
+        while low:
+            low &= -low
             nb = adj[low.bit_length() - 1]
             rest = verts ^ low
             take = rest & ~nb
@@ -446,9 +484,11 @@ def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False):
                 if check:
                     break
             verts = rest
-            waiting |= low
+            waiting |= low & waits
+            low = verts & branch
         else:
-            yield taken
+            # the tips left have their bases avoided, so they are taken
+            yield taken | verts
 
 
 def _covers_by_size(adj, active: int, top: int) -> dict:

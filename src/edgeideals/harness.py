@@ -27,11 +27,11 @@ from .errors import InputError, SearchBudgetExceeded
 from .graphs import (Graph, RemainderClass, add_whiskers, cycle_graph, delete_vertices,
                      format_graph, path_graph, _bits, _canonical, _classify_remainder,
                      _default_labels, _delete_adj, _drop, _edgeless, _elimination_order,
-                     _induces_one_cycle, _least_relabellings, _mask_of, _mask_orbits,
-                     _whiskered_adj)
+                     _induces_one_cycle, _invariant_classes, _least_in_classes, _mask_of,
+                     _mask_orbits, _minimal_cover_masks, _whiskered_adj)
 from .monomials import MonomialIdeal, alexander_dual_of_edge_ideal, squarefree_degree_component
 from .quotients import (betti_from_quotient_order, has_dual_linear_quotients, make_order,
-                        verify_order, search_stats)
+                        verify_order, search_stats, _dual_orders)
 from .homology import GF2, GF3, QQ, betti_numbers
 from .decide import (DEFAULT_SEARCH_BUDGET, check_koszul_lift, is_cm, is_sequentially_cm,
                      sufficient_scm, _decide, _remainder_report, _remainder_witnesses)
@@ -404,8 +404,10 @@ def all_induced_dlq(G: Graph, memo=None, *, S=()) -> bool:
     whether every induced subgraph of G has dual linear quotients.  The
     recursion deletes one vertex at a time and decides each graph's own
     verdict only when all its one-vertex deletions pass.  It works on
-    adjacency tuples and S-masks, reindexed by ``graphs._drop``, and builds
-    no ``Graph`` but the one whose dual it checks.  ``memo`` maps the
+    adjacency tuples and S-masks, reindexed by ``graphs._drop``, and checks
+    each whiskered graph's dual on masks (``quotients._dual_orders``), so
+    it builds no ``Graph``, order or report, and an ideal only for a GF(2)
+    witness scan.  ``memo`` maps the
     canonical form (adjacency tuple, S-mask) of ``graphs._canonical`` to
     the answer for all subsets and may be shared across calls; the
     recursion runs on the deletions of the canonical representative.
@@ -454,10 +456,11 @@ def _all_induced_dlq(adj: tuple, smask: int, memo: dict, canon: dict) -> bool:
              for v in range(len(adj)))
     if ok:
         wadj = _whiskered_adj(adj, smask)
-        W = Graph._from_adj(wadj, _default_labels(len(wadj)))
-        ok = has_dual_linear_quotients(W, budget=DEFAULT_SEARCH_BUDGET,
-                                       stop_at_failure=True).verdict
-        if ok is None:  # undecided within the budget, which must not read as False
+        dual = _minimal_cover_masks(wadj, (1 << len(wadj)) - 1)
+        ordered, unknown, _, _ = _dual_orders(wadj, dual, DEFAULT_SEARCH_BUDGET, True)
+        ok = None not in ordered.values()
+        if ok and unknown:  # undecided within the budget, which must not read as False
+            W = Graph._from_adj(wadj, _default_labels(len(wadj)))
             raise SearchBudgetExceeded(f"dual linear quotients of {W!r} undecided")
     memo[key] = ok
     return ok
@@ -480,11 +483,21 @@ def _classes(limit: int):
     pairs (G, S) have isomorphic graphs; relabelling a pair along an
     isomorphism from G to its representative P puts the class on P, as
     (P, S'); and masks in one Aut(P)-orbit give one class.  So one
-    ``_canonical(P, S')`` per Aut(P)-orbit of masks reaches every class
-    once.  Aut(P) itself is the set of relabellings that reach P's
+    canonical form of (P, S') per Aut(P)-orbit of masks reaches every
+    class once.  Aut(P) itself is the set of relabellings that reach P's
     canonical form, since P is one (``graphs._least_relabellings``), and
     its orbits on masks serve both as the S-masks of P and as the
     neighbourhoods of the next vertex.
+
+    P's invariant classes are computed once (``graphs._invariant_classes``
+    with S empty), and those of each (P, S') by splitting them, so only the
+    permutation search (``graphs._least_in_classes``) runs per orbit.
+    Lemma: the split gives the classes of (P, S') in order, each in index
+    order: the S-free parts of P's classes, then the S' parts.  A
+    canonical form lies in class order, so P's classes are runs of
+    consecutive indices; the invariant of (P, S') is the S bit followed by
+    P's, and its stable sort keeps each S bit's vertices in index order,
+    which is already sorted by P's invariant.
     """
     level = [((), [0])]  # plain representatives on n - 1 vertices, with their mask orbits
     for n in range(1, limit + 1):
@@ -493,13 +506,17 @@ def _classes(limit: int):
                             + (nbrs,), 0)[0] for adj, orbits in level for nbrs in orbits}
         classes, level = {}, []
         for adj in plain:
-            auts = _least_relabellings(adj, 0)[2]
+            runs = _invariant_classes(adj, 0)
+            auts = _least_in_classes(adj, runs, 0)[2]
             orbits = _mask_orbits(auts, n)
             level.append((adj, orbits))
             classes[adj, 0] = len(auts)
             for smask in orbits[1:]:
-                cadj, cmask, aut = _canonical(adj, smask)
-                classes[cadj, cmask] = aut
+                split = ([tuple(v for v in run if not smask >> v & 1) for run in runs]
+                         + [tuple(v for v in run if smask >> v & 1) for run in runs])
+                cadj, cmask, seqs = _least_in_classes(adj, list(filter(None, split)),
+                                                      smask.bit_count())
+                classes[cadj, cmask] = len(seqs)
         yield n, dict(sorted(classes.items()))
 
 

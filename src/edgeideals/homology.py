@@ -509,7 +509,7 @@ def is_componentwise_linear(I: MonomialIdeal, field: FieldSpec = GF2) -> CWLRepo
 
     Degrees run from the least to the largest generator degree: above it,
     components inherit a linear resolution (the lemma of
-    ``quotients.has_dual_linear_quotients``).  The scan stops at the first
+    ``quotients._dual_orders``).  The scan stops at the first
     failing degree, whose witness is recorded.  Homology runs on every
     degree; ``decide._scan_open_degrees`` is the same scan with the degrees
     the order search settled filled in.

@@ -558,15 +558,21 @@ class DLQReport:
         }
 
 
-def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -> DLQReport:
-    """Check linear quotients of the square-free degree components of the dual.
+def _dual_orders(adj, dual, budget=None, stop_at_failure=False):
+    """``has_dual_linear_quotients`` on masks, for the graph with adjacency
+    tuple ``adj`` and the generator masks ``dual`` of its Alexander dual,
+    canonically ordered.  Returns (ordered, unknown, skipped, ctx):
+    ``ordered`` maps each decided degree to its ordered generator masks, or
+    to None when it has no order; ``ctx`` is the ``_OrderSearch``, which
+    keeps their colon masks and witnesses under (full, d).  It builds no
+    ideal, order or report.
 
     Degrees run from dmin to D, the least and the largest minimal-cover
     size: by the lemma below, every component above D has linear quotients
     (a linear resolution) when the degree-D component has.  With a
     budget, degrees whose exact search or witness scan was cut off are
-    reported as unknown rather than decided.  A degree without an order
-    carries its GF(2) witness when the search found one.
+    unknown rather than decided.  With ``stop_at_failure`` the degrees
+    after the first without an order are skipped.
 
     Lemma: let J be generated by square-free monomials of degree d and J'
     by their square-free multiples of degree d+1.  If J has linear
@@ -592,31 +598,40 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
     ``graphs._covers_by_size`` gives each size class.  Sub-blocks, and
     every degree of a mixed graph, are still enumerated.
     """
-    dual = alexander_dual_of_edge_ideal(G)
-    ctx = _OrderSearch(G.adj, dual.max_degree, budget)
-    full = (1 << G.n) - 1
-    if dual.is_equigenerated:
-        ctx._covers[full] = {dual.max_degree: dual.masks}
-    per_degree = {}
+    lo, hi = dual[0].bit_count(), dual[-1].bit_count()
+    ctx = _OrderSearch(adj, hi, budget)
+    full = (1 << len(adj)) - 1
+    if lo == hi:
+        ctx._covers[full] = {hi: dual}
+    ordered = {}
     unknown = []
     skipped = []
-    failed = False
-    for d in range(dual.min_degree, dual.max_degree + 1):
-        if failed and stop_at_failure:
+    for d in range(lo, hi + 1):
+        if stop_at_failure and None in ordered.values():
             skipped.append(d)
             continue
         try:
-            ordered = ctx.order(full, d)
+            ordered[d] = ctx.order(full, d)
         except SearchBudgetExceeded:
             unknown.append(d)
-            continue
-        if ordered is None:
-            per_degree[d] = None
-            failed = True
-        else:
-            per_degree[d] = _order_from_masks(G.n, ordered, ctx._colon.get((full, d)))
+    return ordered, tuple(unknown), tuple(skipped), ctx
+
+
+def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -> DLQReport:
+    """Check linear quotients of the square-free degree components of the
+    dual, from dmin to D (the lemmas of ``_dual_orders``, which this wraps).
+    With a budget, degrees whose exact search or witness scan was cut off
+    are reported as unknown rather than decided.  A degree without an
+    order carries its GF(2) witness when the search found one.
+    """
+    dual = alexander_dual_of_edge_ideal(G)
+    ordered, unknown, skipped, ctx = _dual_orders(G.adj, dual.masks, budget, stop_at_failure)
+    full = (1 << G.n) - 1
+    per_degree = {d: None if seq is None
+                  else _order_from_masks(G.n, seq, ctx._colon.get((full, d)))
+                  for d, seq in ordered.items()}
     witnesses = {d: ctx.witnesses[full, d] for d in per_degree if (full, d) in ctx.witnesses}
-    return DLQReport(G, per_degree, tuple(unknown), tuple(skipped), witnesses, dual)
+    return DLQReport(G, per_degree, unknown, skipped, witnesses, dual)
 
 
 # ---------------------------------------------------------------------------

@@ -639,7 +639,7 @@ def _lemma_cases():
 
 
 def test_stopping_at_d_agrees_with_every_degree():
-    # the lemma of has_dual_linear_quotients: each component above D
+    # the lemma of quotients._dual_orders: each component above D
     # inherits linear quotients and a linear resolution from the degree-D
     # one, so the report and the scan, which stop at D, answer as the full
     # computation up to the vertex count does

@@ -372,6 +372,59 @@ def test_stack_walk_matches_the_recursive_walk_on_random_graphs():
                 (G, active, need, maximal)
 
 
+def _walks_agree(adj, active):
+    for need in range(active.bit_count() + 2):
+        for maximal in (False, True):
+            assert list(_independent_sets(adj, active, need, maximal)) == list(
+                independent_sets_by_recursion(adj, active, need, maximal)), \
+                (adj, active, need, maximal)
+
+
+def test_walk_settles_tips_as_the_recursive_walk_branches():
+    # a tip, pendant in the active set with a lower neighbour, is settled by
+    # its base; every need, both modes, against the branching recursion
+    full = lambda G: (1 << G.n) - 1  # noqa: E731
+    # 0 is pendant with the higher neighbour 1, so it is branched on; 2 is a tip
+    P = path_graph(3)
+    _walks_agree(P.adj, full(P))
+    # K2 components, each the base 2i and its tip 2i + 1
+    K = Graph(6, [(0, 1), (2, 3), (4, 5)])
+    _walks_agree(K.adj, full(K))
+    # a base with two tips (0 with 3 and 4), beside a triangle through 0
+    T = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
+    _walks_agree(T.adj, full(T))
+    # 3 has degree 2, but is pendant inside an active set without 2
+    C = cycle_graph(4)
+    _walks_agree(C.adj, 0b1011)
+    # whiskered random graphs with a partial S, on every active mask or a
+    # random one
+    rng = random.Random(41)
+    for k in range(60):
+        n = rng.randint(3, 7)
+        G = random_graph(rng, n, rng.choice([0.3, 0.5]))
+        W, _ = add_whiskers(G, [v for v in range(n) if rng.random() < 0.6])
+        if W.n <= 8:
+            for active in range(1 << W.n):
+                _walks_agree(W.adj, active)
+        else:
+            _walks_agree(W.adj, full(W) if k % 2 else rng.getrandbits(W.n))
+
+
+def test_whiskered_cycle_covers_count_lucas_numbers():
+    # the maximal independent sets of W(C_k) are I plus the tips of the
+    # bases outside I, one per independent set I of C_k, so there are L_k;
+    # each cover holds exactly one vertex of every base-tip pair (b, k + b)
+    lucas = [2, 1]
+    while len(lucas) <= 20:
+        lucas.append(lucas[-1] + lucas[-2])
+    for k in range(3, 21):
+        W, _ = add_whiskers(cycle_graph(k), range(k))
+        covers = _minimal_cover_masks(W.adj, (1 << W.n) - 1)
+        assert len(covers) == lucas[k], k
+        assert all((c >> b & 1) + (c >> (k + b) & 1) == 1 for c in covers for b in range(k))
+    assert lucas[20] == 15_127
+
+
 # the minimal covers of W(C_k), k = 3..16, then of the 24 fully whiskered
 # graphs of perfbench's whiskered workload at seed 1, one line of masks per
 # graph, recorded before the cover walk settled whisker tips
@@ -396,7 +449,7 @@ def test_whiskered_minimal_covers_pinned():
 
 
 def test_unmixed_top_component_is_the_dual():
-    # the lemma at has_dual_linear_quotients: on an unmixed graph the
+    # the lemma at quotients._dual_orders: on an unmixed graph the
     # covers of size D are the minimal covers, in the same order; 7 333 of
     # the 33 868 labelled graphs with at most six vertices are unmixed
     unmixed = 0

@@ -356,17 +356,44 @@ def test_dlq_memo_refuses_an_undecided_verdict(monkeypatch):
 
 
 def test_sweep_builds_no_subgraph_or_whiskered_graph(monkeypatch):
-    # the recursion reindexes adjacency tuples itself; neither graph
-    # builder may be reached from the T3.7 sweep
+    # the recursion reindexes adjacency tuples itself and checks each
+    # whiskered graph's dual on masks: neither graph builder may be reached
+    # from the T3.7 sweep, and a --max-n 4 sweep builds no Graph, order or
+    # report, and an ideal only for each GF(2) witness scan of a refutation
     import edgeideals.harness
+    import edgeideals.quotients
+    from edgeideals import DLQReport, MonomialIdeal, QuotientOrder
+    from edgeideals.quotients import search_stats
 
     def refuse(*args, **kwargs):
         raise AssertionError("graph builder called inside the sweep")
 
     monkeypatch.setattr(edgeideals.harness, "delete_vertices", refuse)
     monkeypatch.setattr(edgeideals.harness, "add_whiskers", refuse)
-    report = run_campaign(Campaign("T3.7", max_n=3))
-    assert report.failed == 0 and report.passed == 2 + 4 * 2 + 8 * 8  # (G, S) pairs
+    built = []
+
+    def counted(name, method):
+        real = getattr(method, "__func__", method)
+
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for cls, name, wrap in ((Graph, "__init__", None), (Graph, "_from_adj", classmethod),
+                            (MonomialIdeal, "__init__", None),
+                            (MonomialIdeal, "_from_canonical", classmethod),
+                            (QuotientOrder, "__init__", None), (DLQReport, "__init__", None)):
+        method = counted(f"{cls.__name__}.{name}", getattr(cls, name))
+        monkeypatch.setattr(cls, name, wrap(method) if wrap else method)
+    scan = edgeideals.quotients.nonlinear_witness
+    monkeypatch.setattr(edgeideals.quotients, "nonlinear_witness",
+                        lambda *args: built.append("scan") or scan(*args))
+    refuted = search_stats["refuted"]
+    report = run_campaign(Campaign("T3.7", max_n=4))
+    assert report.failed == 0 and report.passed == 2 + 4 * 2 + 8 * 8 + 64 * 16  # (G, S) pairs
+    assert search_stats["refuted"] - refuted == 1
+    assert built == ["MonomialIdeal._from_canonical", "scan"]
 
 
 def _every_labelled_pair(max_n):

@@ -10,7 +10,7 @@ from edgeideals import (Graph, InputError, Monomial, MonomialIdeal, QuotientOrde
                         is_chordal, make_order, nonlinear_witness,
                         squarefree_degree_component, verify_order,
                         whisker_order)
-from edgeideals.graphs import _bits, _mask_of
+from edgeideals.graphs import _bits, _default_labels, _mask_of
 from edgeideals.quotients import (_OrderSearch, _colon_walk, _search_masks,
                                   reset_search_stats, search_stats)
 
@@ -721,6 +721,40 @@ def test_dlq_budget_marks_unknown():
     assert report.per_degree[4] is not None  # canonical order needs no search
 
 
+def test_dual_orders_match_the_report():
+    # the mask core, which the T3.7 sweep calls, against the report it is
+    # wrapped into: degrees, ordered masks, colon masks, witnesses, unknown
+    # and skipped degrees, on whisker(G, S) for every class (G, S) through
+    # five vertices and on RP2-SD and the 34 field pool graphs, each with
+    # and without stopping at a failure and under three budgets
+    from edgeideals.decide import DEFAULT_SEARCH_BUDGET
+    from edgeideals.harness import _classes, rp2_sd
+    from edgeideals.quotients import _dual_orders
+    from oracles import field_pool_graph
+    graphs = [add_whiskers(Graph._from_adj(adj, _default_labels(n)), _bits(smask))[0]
+              for n, classes in _classes(5) for adj, smask in classes]
+    field = [rp2_sd()] + [field_pool_graph(i) for i in range(34)]
+    runs = [(G, None, stop) for G in graphs for stop in (False, True)]
+    runs += [(G, budget, stop) for G in field for budget in (50, DEFAULT_SEARCH_BUDGET, None)
+             for stop in (False, True)]
+    seen = set()
+    for G, budget, stop in runs:
+        report = has_dual_linear_quotients(G, budget=budget, stop_at_failure=stop)
+        ordered, unknown, skipped, ctx = _dual_orders(G.adj, report.dual.masks, budget, stop)
+        full = (1 << G.n) - 1
+        assert (unknown, skipped) == (report.unknown, report.skipped), G
+        assert ordered.keys() == report.per_degree.keys(), G
+        for d, q in report.per_degree.items():
+            if q is None:
+                assert ordered[d] is None and ctx.witnesses.get((full, d)) == \
+                    report.witnesses.get(d), (G, d)
+            else:
+                colon = ctx._colon.get((full, d)) or _colon_walk(ordered[d])[0]
+                assert (q.gens, q.colon) == (tuple(ordered[d]), tuple(colon)), (G, d)
+        seen.add(report.verdict)
+    assert seen == {True, False, None}
+
+
 def test_find_order_budget_raises():
     from edgeideals import SearchBudgetExceeded
     I = MonomialIdeal.from_generators(4, [M([0, 2]), M([1, 3])])
@@ -742,7 +776,7 @@ def test_listed_remainder_order_verifies():
 
 def test_unmixed_graph_takes_its_top_component_from_the_dual(monkeypatch):
     # an unmixed graph's one component is the dual's generator list (the
-    # lemma at has_dual_linear_quotients); a mixed graph still walks
+    # lemma at quotients._dual_orders); a mixed graph still walks
     from edgeideals import path_graph, quotients
     walked = []
     walk = quotients._covers_by_size
