@@ -487,7 +487,7 @@ def _independent_sets(adj, verts_mask: int, need: int = 0, maximal=False):
             waiting |= low & waits
             low = verts & branch
         else:
-            # the tips left have their bases avoided, so they are taken
+            # the tips left have their bases out of the set, so they join it
             yield taken | verts
 
 

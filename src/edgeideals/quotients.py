@@ -565,7 +565,7 @@ def _dual_orders(adj, dual, budget=None, stop_at_failure=False):
     ``ordered`` maps each decided degree to its ordered generator masks, or
     to None when it has no order; ``ctx`` is the ``_OrderSearch``, which
     keeps their colon masks and witnesses under (full, d).  It builds no
-    ideal, order or report.
+    order or report, and an ideal only for a GF(2) witness scan.
 
     Degrees run from dmin to D, the least and the largest minimal-cover
     size: by the lemma below, every component above D has linear quotients

@@ -383,16 +383,15 @@ def _walks_agree(adj, active):
 def test_walk_settles_tips_as_the_recursive_walk_branches():
     # a tip, pendant in the active set with a lower neighbour, is settled by
     # its base; every need, both modes, against the branching recursion
-    full = lambda G: (1 << G.n) - 1  # noqa: E731
     # 0 is pendant with the higher neighbour 1, so it is branched on; 2 is a tip
     P = path_graph(3)
-    _walks_agree(P.adj, full(P))
+    _walks_agree(P.adj, 0b111)
     # K2 components, each the base 2i and its tip 2i + 1
     K = Graph(6, [(0, 1), (2, 3), (4, 5)])
-    _walks_agree(K.adj, full(K))
+    _walks_agree(K.adj, 0b111111)
     # a base with two tips (0 with 3 and 4), beside a triangle through 0
     T = Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4)])
-    _walks_agree(T.adj, full(T))
+    _walks_agree(T.adj, 0b11111)
     # 3 has degree 2, but is pendant inside an active set without 2
     C = cycle_graph(4)
     _walks_agree(C.adj, 0b1011)
@@ -407,7 +406,7 @@ def test_walk_settles_tips_as_the_recursive_walk_branches():
             for active in range(1 << W.n):
                 _walks_agree(W.adj, active)
         else:
-            _walks_agree(W.adj, full(W) if k % 2 else rng.getrandbits(W.n))
+            _walks_agree(W.adj, (1 << W.n) - 1 if k % 2 else rng.getrandbits(W.n))
 
 
 def test_whiskered_cycle_covers_count_lucas_numbers():
