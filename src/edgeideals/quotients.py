@@ -558,7 +558,7 @@ class DLQReport:
         }
 
 
-def _dual_orders(adj, dual, budget=None, stop_at_failure=False):
+def _dual_orders(adj, dual, budget, stop_at_failure):
     """``has_dual_linear_quotients`` on masks, for the graph with adjacency
     tuple ``adj`` and the generator masks ``dual`` of its Alexander dual,
     canonically ordered.  Returns (ordered, unknown, skipped, ctx):
