@@ -235,14 +235,18 @@ def _scan_open_degrees(report, field: FieldSpec) -> CWLReport:
     degree the search refuted is settled by its witness:
     ``_OrderSearch._refuted`` ran ``nonlinear_witness`` over GF(2) on the
     same component (the size-d covers are its generators) and so walked
-    the same sorted lcm lattice to the same first witness.  Every other
-    degree, unknown, skipped or refuted without a witness for this field,
-    is scanned.  The report is therefore the full scan's, degree for
-    degree and witness for witness.
+    the same sorted lcm lattice to the same first witness.  A witness with
+    |b| = d + 2 settles its degree in every field: by the purity lemma at
+    ``nonlinear_witness`` the points before it, all with |b| <= d + 2,
+    carry a witness in no field or in every field alike (a disconnected
+    K^b), so it is each field's first witness too.  Every other degree,
+    unknown, skipped or refuted without a witness for this field, is
+    scanned.  The report is therefore the full scan's, degree for degree
+    and witness for witness.
     """
     known = {d: None for d, q in report.per_degree.items() if q is not None}
-    if field == GF2:
-        known.update((d, (w.index, w.multidegree)) for d, w in report.witnesses.items())
+    known.update((d, (w.index, w.multidegree)) for d, w in report.witnesses.items()
+                 if field == GF2 or len(w.multidegree) == d + 2)
     return _componentwise_scan(report.dual, field, known)
 
 

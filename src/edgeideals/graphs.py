@@ -106,7 +106,8 @@ def _least_relabellings(adj: tuple, smask: int) -> tuple:
     canonical form the vertices already lie in class order, so the coset
     is Aut(G, S) itself: the relabellings are its automorphisms.
     """
-    return _least_in_classes(adj, _invariant_classes(adj, smask), smask.bit_count())
+    nbrs = [tuple(_bits(a)) for a in adj]
+    return _least_in_classes(nbrs, _invariant_classes(adj, smask), smask.bit_count())
 
 
 def _invariant_classes(adj: tuple, smask: int) -> list:
@@ -120,13 +121,13 @@ def _invariant_classes(adj: tuple, smask: int) -> list:
     return [tuple(c) for _, c in groupby(order, key=invariant.__getitem__)]
 
 
-def _least_in_classes(adj: tuple, classes, k: int) -> tuple:
-    """The least adjacency tuple reached by relabelling ``adj`` along the
-    concatenation of one permutation of each class, the mask of its last k
-    vertices (the S vertices, whose classes come last), and the vertex
-    sequences that reach it."""
-    n = len(adj)
-    nbrs = [tuple(_bits(a)) for a in adj]
+def _least_in_classes(nbrs: list, classes, k: int) -> tuple:
+    """The least adjacency tuple reached by relabelling the graph with the
+    neighbour tuples ``nbrs`` (of indices) along the concatenation of
+    one permutation of each class, the mask of its last k vertices (the S
+    vertices, whose classes come last), and the vertex sequences that
+    reach it."""
+    n = len(nbrs)
     best, seqs = None, []
     bit = [0] * n
     for parts in product(*map(permutations, classes)):
@@ -145,11 +146,13 @@ def _mask_orbits(auts, n: int) -> list:
     """The least mask of each orbit of the relabellings ``auts`` (vertex
     sequences forming a group, as ``_least_relabellings`` gives them on a
     canonical form) on the subsets of n vertices, in ascending order."""
+    images = [[1 << v for v in seq] for seq in auts]
     seen, reps = set(), []
     for m in range(1 << n):
         if m not in seen:
             reps.append(m)
-            seen.update(_mask_of(seq[i] for i in _bits(m)) for seq in auts)
+            at = list(_bits(m))
+            seen.update(sum(map(image.__getitem__, at)) for image in images)
     return reps
 
 

@@ -489,9 +489,10 @@ def _classes(limit: int):
     its orbits on masks serve both as the S-masks of P and as the
     neighbourhoods of the next vertex.
 
-    P's invariant classes are computed once (``graphs._invariant_classes``
-    with S empty), and those of each (P, S') by splitting them, so only the
-    permutation search (``graphs._least_in_classes``) runs per orbit.
+    P's invariant classes and neighbour lists are computed once
+    (``graphs._invariant_classes`` with S empty), and the classes of each
+    (P, S') by splitting P's, so only the permutation search
+    (``graphs._least_in_classes``) runs per orbit.
     Lemma: the split gives the classes of (P, S') in order, each in index
     order: the S-free parts of P's classes, then the S' parts.  A
     canonical form lies in class order, so P's classes are runs of
@@ -506,15 +507,15 @@ def _classes(limit: int):
                             + (nbrs,), 0)[0] for adj, orbits in level for nbrs in orbits}
         classes, level = {}, []
         for adj in plain:
-            runs = _invariant_classes(adj, 0)
-            auts = _least_in_classes(adj, runs, 0)[2]
+            runs, nbrs = _invariant_classes(adj, 0), [tuple(_bits(a)) for a in adj]
+            auts = _least_in_classes(nbrs, runs, 0)[2]
             orbits = _mask_orbits(auts, n)
             level.append((adj, orbits))
             classes[adj, 0] = len(auts)
             for smask in orbits[1:]:
                 split = ([tuple(v for v in run if not smask >> v & 1) for run in runs]
                          + [tuple(v for v in run if smask >> v & 1) for run in runs])
-                cadj, cmask, seqs = _least_in_classes(adj, list(filter(None, split)),
+                cadj, cmask, seqs = _least_in_classes(nbrs, list(filter(None, split)),
                                                       smask.bit_count())
                 classes[cadj, cmask] = len(seqs)
         yield n, dict(sorted(classes.items()))

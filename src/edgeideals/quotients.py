@@ -3,17 +3,23 @@
 A certificate is a sequence of generator masks with one colon mask per
 step: the variables generating the colon ideal of the prefix by that
 generator.  Certificates are checkable in O(r*n) big-int operations (one
-pass over the sequence with a bitset of generator positions per variable),
-so every order found here -- whether by exact search or by the constructive
-whisker recursion -- is verified before it is trusted.  Ideals come in and
-go out as ``MonomialIdeal``s, which hold their generator masks as well, so
-this module builds no ``Monomial``.
+pass over the sequence with a bitset of generator positions per variable,
+``_colon_walk``).  Ideals come in and go out as ``MonomialIdeal``s, which
+hold their generator masks as well, so this module builds no ``Monomial``.
 
 A dual component is ordered by the first of these that succeeds: its
 canonical order (identity), the whisker decomposition at a pendant or
 isolated vertex (structural), then the exact search.  At the search's
 first backtrack a GF(2) Betti witness is sought once; it proves that no
-order exists, and otherwise the search resumes where it stopped.
+order exists, and otherwise the search resumes where it stopped.  Two
+kinds of order are certified by a lemma with their colons in closed form
+and are not walked: the canonical order of a full whiskering (L2,
+``_OrderSearch._whisker_bases``) and the whisker decomposition whose
+blocks are orders (L1, ``_whisker_seq``).  Every other canonical order is
+walked, and the search checks each step it takes.  ``verify_order``,
+``find_order``, ``make_order`` and ``whisker_order`` trust neither lemma
+and walk every sequence, so ``decide.check_evidence`` re-checks the
+lemma-certified orders by the walk.
 """
 
 from __future__ import annotations
@@ -154,11 +160,19 @@ class QuotientOrder:
     def to_json(self, labels=None) -> dict:
         if labels is None:
             labels = _default_labels(self.ambient)
+
+        def names(m):
+            out = []
+            while m:
+                low = m & -m
+                out.append(labels[low.bit_length() - 1])
+                m ^= low
+            return out
         return {
             "ambient": self.ambient,
             "vars": list(labels),
-            "ordered_gens": [[labels[v] for v in _bits(m)] for m in self.gens],
-            "colon_vars": [[labels[v] for v in _bits(m)] for m in self.colon],
+            "ordered_gens": list(map(names, self.gens)),
+            "colon_vars": list(map(names, self.colon)),
         }
 
     @classmethod
@@ -370,13 +384,14 @@ class _OrderSearch:
     """Orders dual components of one graph's induced subgraphs.
 
     Works on bitmasks in the graph's own ambient so that the whisker
-    recursion never reindexes.  ``order`` answers exactly: a list is a
-    verified order, None means no order exists (proved by a GF(2) Betti
-    witness, kept in ``witnesses``, or by exhaustive search); a budget
-    overrun raises instead of guessing.  Covers are enumerated up to size
-    ``top``, the largest degree asked for, since blocks only go down.  A
-    component ordered by a walk or by the search keeps the colon masks of
-    its order under its key in ``_colon``.
+    recursion never reindexes.  ``order`` answers exactly: a list is an
+    order with linear quotients, None means no order exists (proved by a
+    GF(2) Betti witness, kept in ``witnesses``, or by exhaustive search); a
+    budget overrun raises instead of guessing.  Covers are enumerated up to
+    size ``top``, the largest degree asked for, since blocks only go down.
+    Every ordered component keeps the colon masks of its order under its
+    key in ``_colon``: from a walk, from the search, or from the closed
+    forms of ``_whisker_bases`` and ``_whisker_seq``.
     """
 
     def __init__(self, adj, top: int, budget=None):
@@ -403,17 +418,13 @@ class _OrderSearch:
         self._orders[key] = result
         return result
 
-    def _linear(self, key, seq) -> bool:
-        """Walk seq once; keep its colon masks under key when it is linear."""
-        colon, failed = _colon_walk(seq, stop_at_failure=True)
-        if failed:
-            return False
-        self._colon[key] = colon
-        return True
-
     def _order_uncached(self, active: int, d: int):
         """Identity, then structural order, then the exact search, which at
         its first backtrack asks ``_refuted`` for a GF(2) Betti witness.
+
+        The canonical order of a full whiskering is certified by
+        ``_whisker_bases`` and the structural candidate by ``_whisker_seq``,
+        both in closed form; only the other canonical orders are walked.
 
         Lemma: if a component generated in degree d has linear quotients,
         its resolution is d-linear over every field, GF(2) included
@@ -425,18 +436,60 @@ class _OrderSearch:
         """
         gens = self.gens(active, d)
         if len(gens) <= 1:
+            self._colon[active, d] = [0] * len(gens)
             return list(gens)
-        if self._linear((active, d), gens):
+        bases = self._whisker_bases(active, d)
+        if bases is not None:
+            colon, failed = [bases & ~c for c in gens], 0
+        else:
+            colon, failed = _colon_walk(gens, stop_at_failure=True)
+        if not failed:
+            self._colon[active, d] = colon
             search_stats["identity"] += 1
             return list(gens)
-        cand = self._structural_candidate(active, d)
-        if cand is not None and self._linear((active, d), cand):
-            search_stats["structural"] += 1
-            return cand
-        found = _search_masks(gens, self.spend, lambda: self._refuted(active, d, gens))
+        found = self._structural_candidate(active, d)
         if found is not None:
-            self._colon[active, d] = found[1]
-        return found and found[0]
+            search_stats["structural"] += 1
+        else:
+            found = _search_masks(gens, self.spend, lambda: self._refuted(active, d, gens))
+            if found is None:
+                return None
+        self._colon[active, d] = found[1]
+        return found[0]
+
+    def _whisker_bases(self, active: int, d: int):
+        """The mask of the bases when the graph on ``active`` is a full
+        whiskering with d tips, else None.
+
+        A full whiskering pairs every vertex of ``active`` off as a tip x,
+        whose one neighbour is its base y < x, or as the base of exactly
+        one tip.  The test takes one popcount unless |active| = 2d.
+
+        Lemma (L2; Villarreal, Manuscripta Math. 1990): the canonical order
+        of the degree-d covers has linear quotients, and the colon of a
+        cover c is generated by the bases of the tips in c, the bases
+        outside c.  Proof: a size-d cover holds exactly one end of each of
+        the d disjoint edges y_j x_j, so c = (B minus I) + tips(I) for B
+        the bases and I = B minus c, an independent set.  Two covers
+        differ on whole pairs, and each pair's lowest vertex is its base,
+        so c' comes before c exactly when the lowest base on which they
+        differ lies in c' and not in c, that is, in I; then c' minus c
+        holds that base.  Conversely each y in I gives c - x + y, a cover
+        (x's one neighbour is y) that comes before c and has c' minus c =
+        {y}.  So every earlier quotient meets I and each y in I is one.
+        This is L1 of ``_whisker_seq`` unrolled at the lowest base's tip.
+        """
+        if active.bit_count() != 2 * d:
+            return None
+        tips = bases = 0
+        for v in _bits(active):
+            nb = self.adj[v] & active
+            if nb and nb & (nb - 1) == 0 and nb >> v == 0:
+                tips += 1
+                bases |= nb
+        # a tip is never a base: its base y < x would need x < y as a tip,
+        # so d tips with d distinct bases pair off all 2d vertices
+        return bases if tips == d == bases.bit_count() else None
 
     def _refuted(self, active: int, d: int, gens) -> bool:
         """Keep a GF(2) Betti witness of the component under (active, d);
@@ -451,7 +504,8 @@ class _OrderSearch:
 
     def _structural_candidate(self, active: int, d: int):
         """Order along the whisker decomposition at the first isolated
-        vertex, else the last pendant vertex; None when a block has none."""
+        vertex, else the last pendant vertex, with its colon masks; None
+        when there is no such vertex or a block has no order."""
         x = None
         for v in _bits(active):
             nb = self.adj[v] & active
@@ -466,15 +520,32 @@ class _OrderSearch:
 
 
 def _whisker_seq(ctx, active: int, x: int, d: int, block):
-    """Degree-d covers of ``active`` ordered along the decomposition at x.
+    """Degree-d covers of ``active`` ordered along the decomposition at x,
+    as (seq, colon).
 
     x is isolated in ``active`` or a degree-one tip with base y.  Isolated:
     E, the covers of the rest, then F*x.  Tip: y*B, B the covers avoiding
     x and y; then x*D*C, D the other neighbours of y and C the covers of
     what D leaves; then x times the A covers (those avoiding x) that
-    contain y.  ``block(mask, degree)`` orders each smaller component; a
-    None block makes the result None.  Which blocks get ordered shows in
+    contain y, x*y*e for e a cover of the rest.  ``block(mask, degree)``
+    orders each smaller component; a None block makes the result None.
+    ``colon`` is built from the blocks' colon masks in ``ctx._colon``, and
+    is None when a block has none.  Which blocks get ordered shows in
     ``search_stats``: E and F are both ordered, C only after B.
+
+    Lemma (L1): when the blocks are orders, so is seq, and with R the rest
+    (``active`` minus x and y) its colons are: colon_B(b) at y*b, y plus
+    colon_C(c) at x*D*c and R minus e at x*y*e; colon_E(e) at e and R
+    minus f at x*f.  Proof: a y*b has only y*B before it, so its quotients
+    are B's.  At x*D*c the earlier y*b give y times b minus (D + c), and y
+    itself from b = D + c, a cover of R; the earlier x*D*c' give C's
+    quotients.  At x*y*e every earlier quotient lies in R minus e and is
+    nonempty (y*b: b has more vertices than e; x*D*c: D + c has too;
+    x*y*e': e' is another set of e's size), and each v in R minus e is one,
+    from y*(e + v).  At an isolated x, e has only E before it, and x*f
+    sees only quotients in R minus f, each v there from the cover f + v
+    of E.  (Herzog-Hibi-Zheng: linear quotients of a cover ideal are a
+    shelling of the complementary complex.)
     """
     xbit = 1 << x
     ybit = ctx.adj[x] & active
@@ -485,22 +556,29 @@ def _whisker_seq(ctx, active: int, x: int, d: int, block):
         if e_block is None or f_block is None:
             return None
         seq = list(e_block) + [m | xbit for m in f_block]
+        head = ctx._colon.get((rest, d))
+        tail = [rest & ~m for m in f_block]
     else:
         b_block = block(rest, d - 1)
         if b_block is None:
             return None
         dmask = ctx.adj[ybit.bit_length() - 1] & rest
-        c_block = block(rest & ~dmask, d - 1 - dmask.bit_count())
+        c_key = (rest & ~dmask, d - 1 - dmask.bit_count())
+        c_block = block(*c_key)
         if c_block is None:
             return None
         div = [m for m in ctx.gens(active ^ xbit, d - 1) if m & ybit]
         seq = ([ybit | m for m in b_block]
                + [xbit | dmask | c for c in c_block]
                + [xbit | m for m in div])
+        b_colon, c_colon = ctx._colon.get((rest, d - 1)), ctx._colon.get(c_key)
+        head = (None if b_colon is None or c_colon is None
+                else b_colon + [ybit | c for c in c_colon])
+        tail = [rest & ~m for m in div]
     gens = ctx.gens(active, d)
     if len(seq) != len(gens) or set(seq) != set(gens):
         raise AssertionError("whisker blocks do not assemble the component")
-    return seq
+    return seq, None if head is None else head + tail
 
 
 @dataclass
@@ -627,8 +705,7 @@ def has_dual_linear_quotients(G: Graph, *, budget=None, stop_at_failure=False) -
     dual = alexander_dual_of_edge_ideal(G)
     ordered, unknown, skipped, ctx = _dual_orders(G.adj, dual.masks, budget, stop_at_failure)
     full = (1 << G.n) - 1
-    per_degree = {d: None if seq is None
-                  else _order_from_masks(G.n, seq, ctx._colon.get((full, d)))
+    per_degree = {d: None if seq is None else _order_from_masks(G.n, seq, ctx._colon[full, d])
                   for d, seq in ordered.items()}
     witnesses = {d: ctx.witnesses[full, d] for d in per_degree if (full, d) in ctx.witnesses}
     return DLQReport(G, per_degree, unknown, skipped, witnesses, dual)
@@ -668,4 +745,4 @@ def whisker_order(K: Graph, whisker, d: int) -> QuotientOrder:
         got = ctx.order(mask, dd)
         return ctx.gens(mask, dd) if got is None else got
 
-    return _order_from_masks(K.n, _whisker_seq(ctx, full, x, d, block))
+    return _order_from_masks(K.n, _whisker_seq(ctx, full, x, d, block)[0])

@@ -66,6 +66,11 @@ def test_traced_ops_keep_their_exit_codes_and_sizes(tmp_path):
             ops.append(lambda g=graph, f=field: decide_and_verify(
                 ["is-scm", "--field", f, "--json"], g))
             want.append((code, 0))
+    # the GF(2) witness of g14-20 has |b| = d + 3, so over GF(3) the scan
+    # still builds the component; those of g14-15 are reused in every field
+    graph = graph_file("g14-20", *inputs.g14_pool_graph(20))
+    ops.append(lambda: decide_and_verify(["is-scm", "--field", "3", "--json"], graph))
+    want.append((1, 0))
     n, edges = inputs.gnp(random.Random(8), 8, 0.4)
     ops.append(lambda: decide_and_verify(["is-cm", "--json"], graph_file("whiskered", n, edges),
                                          ["--whisker", inputs.whisker_list(n)]))

@@ -1,17 +1,29 @@
-"""Whisker orders: the decide outputs on whiskered and field graphs, pinned
-by their bytes."""
+"""Whisker orders: the closed-form colons of full whiskerings (L2 at
+``quotients._OrderSearch._whisker_bases``) and of the whisker decomposition
+(L1 at ``quotients._whisker_seq``) against the one-pass walk, the reuse of
+GF(2) witnesses in every field, and the decide outputs on whiskered and
+field graphs, pinned by their bytes."""
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from edgeideals import cli
-from edgeideals.graphs import cycle_graph, format_graph
+import edgeideals.homology as homology
+import edgeideals.quotients as quotients
+from edgeideals import (GF3, QQ, Graph, add_whiskers, check_evidence, cli, cycle_graph,
+                        format_graph, has_dual_linear_quotients, is_cm,
+                        is_componentwise_linear, is_sequentially_cm)
+from edgeideals.decide import DEFAULT_SEARCH_BUDGET, _scan_open_degrees
+from edgeideals.graphs import _bits, _default_labels
+from edgeideals.harness import _classes, rp2_sd
+from edgeideals.quotients import _colon_walk, _OrderSearch
+from oracles import field_pool_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,3 +89,139 @@ def test_whiskered_cycle_verdicts_pinned(tmp_path, k):
                      "--json"])
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == WHISKERED_CYCLE_SHA256[k]
+
+
+def _plain_classes(limit):
+    """One graph per isomorphism class on at most ``limit`` vertices."""
+    return [Graph._from_adj(adj, _default_labels(n))
+            for n, classes in _classes(limit) for adj, smask in classes if not smask]
+
+
+def _relabelled(G, rng, bases):
+    """G under a random relabelling that keeps each whisker tip after its
+    base: a shuffle with every tip placed before its base swapped back."""
+    order = list(range(G.n))
+    rng.shuffle(order)
+    pos = {v: i for i, v in enumerate(order)}
+    for b, t in bases:
+        if pos[t] < pos[b]:
+            pos[t], pos[b] = pos[b], pos[t]
+    return Graph(G.n, [(pos[u], pos[v]) for u, v in G.edges()]), [(pos[b], pos[t])
+                                                                  for b, t in bases]
+
+
+def _whisker_colon(G, d):
+    """(L2's colon masks or None, the canonical walk's colon and failures)
+    of the degree-d covers of G."""
+    ctx = _OrderSearch(G.adj, d)
+    full = (1 << G.n) - 1
+    bases = ctx._whisker_bases(full, d)
+    gens = ctx.gens(full, d)
+    return None if bases is None else [bases & ~c for c in gens], _colon_walk(gens)
+
+
+def test_full_whiskering_colons_match_the_walk():
+    # L2 on W(G) for every plain class through six vertices, numbered by
+    # add_whiskers and under random labellings that interleave the tips
+    rng = random.Random(29)
+    checked = 0
+    for G in _plain_classes(6):
+        W, wm = add_whiskers(G, range(G.n))
+        graphs = [(W, wm.pairs)] + [_relabelled(W, rng, wm.pairs) for _ in range(14)]
+        for H, pairs in graphs:
+            closed, (colon, failed) = _whisker_colon(H, G.n)
+            assert failed == 0 and closed == colon, (H, pairs)
+            ctx = _OrderSearch(H.adj, G.n)
+            full = (1 << H.n) - 1
+            assert ctx._whisker_bases(full, G.n) == sum(1 << b for b, _ in pairs)
+            checked += 1
+    assert checked >= 3000
+
+
+def test_full_whiskering_refuses_other_graphs():
+    cases = {
+        # base 0 with the two tips 2 and 3; tip 1 of base 0 makes it three
+        "a base with two tips": (Graph(4, [(0, 1), (0, 2), (0, 3)]), 2),
+        # C4 with tips at 0 and 1 only
+        "a partial whiskering": (add_whiskers(cycle_graph(4), [0, 1])[0], 3),
+        # the edge 2-3 with the tips 0 of 2 and 1 of 3
+        "a tip below its base": (Graph(4, [(0, 2), (1, 3), (2, 3)]), 2),
+        # W(K2) on 0..3 and the isolated vertices 4 and 5
+        "an isolated vertex": (Graph(6, [(0, 1), (0, 2), (1, 3)]), 3),
+    }
+    W = add_whiskers(cycle_graph(4), range(4))[0]
+    cases.update({f"d = {d} on W(C4)": (W, d) for d in (3, 5, 8)})
+    for why, (G, d) in cases.items():
+        assert _whisker_colon(G, d)[0] is None, why
+    assert _whisker_colon(W, 4)[0] is not None
+
+
+def _candidates_checked(monkeypatch):
+    """Spy every whisker sequence the order search builds: its closed-form
+    colon must be the walk's, with no failing step.  Returns the count."""
+    real, seen = quotients._whisker_seq, []
+
+    def spied(*args):
+        got = real(*args)
+        if got is not None:
+            colon, failed = _colon_walk(got[0])
+            assert failed == 0 and got[1] == colon
+            seen.append(1)
+        return got
+    monkeypatch.setattr(quotients, "_whisker_seq", spied)
+    return seen
+
+
+def test_whisker_decomposition_colons_match_the_walk(monkeypatch):
+    # L1 on every structural candidate of the decides of the 35 field
+    # graphs, of whisker(G, S) for every class through five vertices, of
+    # the T3.7 sweep through five vertices and of 200-trial campaigns
+    seen = _candidates_checked(monkeypatch)
+    is_cm(rp2_sd())
+    for i in range(34):
+        is_sequentially_cm(field_pool_graph(i))
+    for n, classes in _classes(5):
+        for adj, smask in classes:
+            G = Graph._from_adj(adj, _default_labels(n))
+            is_sequentially_cm(add_whiskers(G, _bits(smask))[0])
+    argvs = [["T3.7", "--max-n", "5"]]
+    argvs += [[claim, "--trials", "200", "--max-n", "9"]
+              for claim in ("T3.2", "T3.3", "C3.4", "C3.5", "C4.2", "T4.1", "C3.6")]
+    for argv in argvs:
+        assert _call(["verify-theorem", *argv])[0] == 0
+    assert len(seen) >= 400
+
+
+def test_whiskered_cycle_is_decided_without_a_walk(monkeypatch):
+    # L2 certifies W(C12) outright; verify still walks the certificate once
+    calls = []
+    real = quotients._colon_walk
+    monkeypatch.setattr(quotients, "_colon_walk",
+                        lambda *args, **kw: calls.append(1) or real(*args, **kw))
+    W = add_whiskers(cycle_graph(12), range(12))[0]
+    verdict = is_cm(W)
+    assert verdict.value and calls == []
+    assert check_evidence(W, verdict.to_json(W.labels)) == (True, "verdict verified")
+    assert len(calls) == 1
+
+
+def test_gf2_witness_on_d_plus_two_is_every_fields_witness(monkeypatch):
+    # a GF(2) witness with |b| = d + 2 settles its degree over GF(3) and Q
+    # with no scan, and the answer is the full scan's: on the field graphs
+    # and on every plain class through six vertices
+    graphs = [rp2_sd()] + [field_pool_graph(i) for i in range(34)] + _plain_classes(6)
+    scanned, real = [], homology.nonlinear_witness
+    monkeypatch.setattr(homology, "nonlinear_witness",
+                        lambda M, f, spend=None: scanned.append(M.min_degree) or real(M, f, spend))
+    reused = 0
+    for G in graphs:
+        report = has_dual_linear_quotients(G, budget=DEFAULT_SEARCH_BUDGET, stop_at_failure=True)
+        near = [d for d, w in report.witnesses.items() if len(w.multidegree) == d + 2]
+        for field in (GF3, QQ):
+            scanned.clear()
+            got = _scan_open_degrees(report, field)
+            assert not set(near) & set(scanned), G
+            want = is_componentwise_linear(report.dual, field)
+            assert (got.per_degree, got.witness) == (want.per_degree, want.witness), G
+        reused += len(near)
+    assert reused >= 40
