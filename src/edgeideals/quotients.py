@@ -527,8 +527,11 @@ def _whisker_seq(ctx, active: int, x: int, d: int, block):
     E, the covers of the rest, then F*x.  Tip: y*B, B the covers avoiding
     x and y; then x*D*C, D the other neighbours of y and C the covers of
     what D leaves; then x times the A covers (those avoiding x) that
-    contain y, x*y*e for e a cover of the rest.  ``block(mask, degree)``
-    orders each smaller component; a None block makes the result None.
+    contain y.  Those are y*e for e the covers of the rest, since y covers
+    every edge at y, and adding y keeps their canonical order, so they are
+    read off the rest's covers with no walk of their own.
+    ``block(mask, degree)`` orders each smaller component; a None block
+    makes the result None.
     ``colon`` is built from the blocks' colon masks in ``ctx._colon``, and
     is None when a block has none.  Which blocks get ordered shows in
     ``search_stats``: E and F are both ordered, C only after B.
@@ -567,14 +570,14 @@ def _whisker_seq(ctx, active: int, x: int, d: int, block):
         c_block = block(*c_key)
         if c_block is None:
             return None
-        div = [m for m in ctx.gens(active ^ xbit, d - 1) if m & ybit]
+        a_covers = ctx.gens(rest, d - 2)
         seq = ([ybit | m for m in b_block]
                + [xbit | dmask | c for c in c_block]
-               + [xbit | m for m in div])
+               + [xbit | ybit | e for e in a_covers])
         b_colon, c_colon = ctx._colon.get((rest, d - 1)), ctx._colon.get(c_key)
         head = (None if b_colon is None or c_colon is None
                 else b_colon + [ybit | c for c in c_colon])
-        tail = [rest & ~m for m in div]
+        tail = [rest & ~e for e in a_covers]
     gens = ctx.gens(active, d)
     if len(seq) != len(gens) or set(seq) != set(gens):
         raise AssertionError("whisker blocks do not assemble the component")

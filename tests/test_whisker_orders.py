@@ -225,3 +225,21 @@ def test_gf2_witness_on_d_plus_two_is_every_fields_witness(monkeypatch):
             assert (got.per_degree, got.witness) == (want.per_degree, want.witness), G
         reused += len(near)
     assert reused >= 40
+
+
+def test_whisker_decomposition_walks_no_covers_of_its_own(monkeypatch):
+    # the blocks' walks serve the whole decomposition: the A covers that
+    # contain the base are read off the rest's covers, so a cover walk is
+    # only ever started to order a component, never by _whisker_seq itself
+    callers, real = [], quotients._covers_by_size
+
+    def spied(*args):
+        callers.append(sys._getframe(2).f_code.co_name)
+        return real(*args)
+    monkeypatch.setattr(quotients, "_covers_by_size", spied)
+    seen = _candidates_checked(monkeypatch)
+    is_cm(rp2_sd())
+    for i in range(34):
+        is_sequentially_cm(field_pool_graph(i))
+    assert len(seen) >= 20 and len(callers) >= 100
+    assert "_whisker_seq" not in callers
