@@ -140,8 +140,9 @@ def test_full_whiskering_colons_match_the_walk():
 
 def test_full_whiskering_refuses_other_graphs():
     cases = {
-        # base 0 with the two tips 2 and 3; tip 1 of base 0 makes it three
-        "a base with two tips": (Graph(4, [(0, 1), (0, 2), (0, 3)]), 2),
+        # the triangle 0, 1, 2 with the tips 3 and 4 at 0 and 5 at 1: three
+        # tips for d = 3, but two bases
+        "a base with two tips": (Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4), (1, 5)]), 3),
         # C4 with tips at 0 and 1 only
         "a partial whiskering": (add_whiskers(cycle_graph(4), [0, 1])[0], 3),
         # the edge 2-3 with the tips 0 of 2 and 1 of 3
