@@ -1,12 +1,20 @@
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from edgeideals.cli import main
+from edgeideals.cli import FIELD_ENV, build_parser, main
+from edgeideals.errors import InputError, SearchBudgetExceeded
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cli_bytes.py"
+_spec = importlib.util.spec_from_file_location("cli_bytes", _SCRIPT)
+cli_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_bytes)
 
 C5_TEXT = "5 5\n1 2\n2 3\n3 4\n4 5\n5 1\n"
 C4_TEXT = "4 4\n1 2\n2 3\n3 4\n4 1\n"
@@ -547,6 +555,52 @@ def test_verify_takes_no_field_option(capsys, c4, tmp_path):
         main(["verify", c4, "--in", str(path), "--field", "q"])
     assert exc.value.code == 2
     assert run(capsys, "verify", c4, "--in", str(path))[0] == 0
+
+
+def _top_level_main(argv):
+    """``main`` through one top-level ``parse_args``, the reference for its
+    dispatch."""
+    args = build_parser().parse_args(argv)
+    if getattr(args, "field", "") is None:
+        args.field = os.environ.get(FIELD_ENV, "2")
+    args.t0 = time.perf_counter()
+    try:
+        return args.fn(args)
+    except (InputError, SearchBudgetExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def test_cli_bytes_match_the_top_level_parse(monkeypatch, tmp_path):
+    # help, usage, parser errors and ordinary calls: the same exit code and
+    # bytes on stdout and stderr as the top-level parse gives
+    cli_bytes.write_graphs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(FIELD_ENV, raising=False)
+    for argv in cli_bytes.ARGVS:
+        assert cli_bytes.outcome(main, argv) == cli_bytes.outcome(_top_level_main, argv), argv
+
+
+def test_cli_bytes_script_prints_one_hash(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv(FIELD_ENV, "3")  # the script runs with the default field
+    assert cli_bytes.main() == 0
+    head, digest = capsys.readouterr().out.splitlines()
+    assert head == f"{len(cli_bytes.ARGVS)} calls" and digest.startswith("sha256 ")
+    assert os.environ.get(FIELD_ENV) is None
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch, c5):
+    monkeypatch.setattr(sys, "argv", ["edgeideals", "is-scm", c5])
+    assert main() == 0
+    assert capsys.readouterr().out == "SCM: true (dual linear quotients, field-independent)\n"
+    monkeypatch.setattr(sys, "argv", ["edgeideals"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: edgeideals [-h]")
+    assert err.endswith("edgeideals: error: the following arguments are required: command\n")
 
 
 def test_fixture_subcommand(capsys):
