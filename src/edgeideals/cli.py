@@ -236,11 +236,9 @@ def _add_output_options(p, field=True):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process.
-
-    ``--field`` has no parser default: ``main`` fills in $EDGEIDEALS_FIELD.
-    """
+def _parsers() -> tuple:
+    """The top-level parser and its map from command names to their parsers
+    (the subparsers action's ``choices``), built once per process."""
     ap = argparse.ArgumentParser(
         prog="edgeideals",
         description="Decide sequential Cohen-Macaulayness of graph edge ideals "
@@ -316,11 +314,42 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timings", action="store_true")
     p.set_defaults(fn=_cmd_fixture)
 
-    return ap
+    return ap, sub.choices
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser, built once per process.
+
+    ``main`` parses through it only when ``argv`` names no command (no
+    arguments, ``-h``/``--help``, an unknown command or an option before
+    the command); a named command's arguments go straight to that
+    command's parser.  ``--field`` has no parser default: ``main`` fills in
+    $EDGEIDEALS_FIELD.
+    """
+    return _parsers()[0]
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run the command that ``argv`` (default ``sys.argv[1:]``) names and
+    return its exit code.
+
+    Each call parses its arguments once.  When ``argv[0]`` names a command,
+    ``argv[1:]`` goes straight to that command's parser, and arguments it
+    leaves over are refused by the top-level parser's ``error``, as a
+    top-level ``parse_args`` would refuse them.  Every other ``argv`` goes
+    through ``build_parser().parse_args``.  Help, usage and error text are
+    the same either way.
+    """
+    parser, commands = _parsers()
+    argv = sys.argv[1:] if argv is None else argv
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extra = command.parse_known_args(argv[1:])
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        args.command = argv[0]
     if getattr(args, "field", "") is None:  # read when each command runs
         args.field = os.environ.get(FIELD_ENV, "2")
     args.t0 = time.perf_counter()

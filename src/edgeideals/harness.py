@@ -158,7 +158,9 @@ class Report:
 
 @cache
 def _pairs(n: int) -> tuple:
-    return tuple(combinations(range(n), 2))
+    """(u, v, 1 << u, 1 << v) for each vertex pair u < v, in lexicographic
+    order."""
+    return tuple((u, v, 1 << u, 1 << v) for u, v in combinations(range(n), 2))
 
 
 def _random_adj(rng: random.Random, n: int, p: float) -> tuple:
@@ -166,15 +168,22 @@ def _random_adj(rng: random.Random, n: int, p: float) -> tuple:
     vertex pair (u, v), u < v, in lexicographic order."""
     adj = [0] * n
     rand = rng.random
-    for u, v in _pairs(n):
+    for u, v, bu, bv in _pairs(n):
         if rand() < p:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
+            adj[u] |= bv
+            adj[v] |= bu
     return tuple(adj)
 
 
 def _random_subset(rng: random.Random, n: int, p: float = 0.5) -> int:
-    return _mask_of(v for v in range(n) if rng.random() < p)
+    """The mask of the v in 0..n-1 with ``rng.random() < p``, one draw per
+    vertex in order."""
+    rand = rng.random
+    mask = 0
+    for v in range(n):
+        if rand() < p:
+            mask |= 1 << v
+    return mask
 
 
 def _force_cycle(rng: random.Random, adj: tuple, verts) -> tuple:

@@ -603,6 +603,23 @@ def test_main_reads_sys_argv(capsys, monkeypatch, c5):
     assert err.endswith("edgeideals: error: the following arguments are required: command\n")
 
 
+def test_each_call_parses_its_arguments_once(capsys, monkeypatch, c5):
+    # a named command's argv goes straight to its own parser, also when
+    # main reads sys.argv; the top-level parser is not walked first
+    import argparse
+    calls = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert main(["is-scm", c5, "--json"]) == 0
+    monkeypatch.setattr(sys, "argv", ["edgeideals", "verify-theorem", "C4.2", "--trials", "1"])
+    assert main() == 0
+    assert calls == ["edgeideals is-scm", "edgeideals verify-theorem"]
+
+
 def test_fixture_subcommand(capsys):
     code, out, _ = run(capsys, "fixture", "EX3.9")
     assert code == 0 and "PASS" in out
